@@ -5,8 +5,10 @@
 // Columns report the action evidence and the OLTP p95 with / without the
 // technique.
 
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "execution/kill.h"
@@ -27,6 +29,11 @@ struct Outcome {
   std::string evidence;
 };
 
+// Installs the technique under test; the returned callback reads its
+// action evidence after the run, while the rig (which owns the
+// controller) is still alive.
+using Install = std::function<std::function<std::string()>(BenchRig*)>;
+
 EngineConfig SmallServer() {
   EngineConfig config = wlm_bench::DefaultEngine();
   config.num_cpus = 2;
@@ -38,7 +45,7 @@ EngineConfig SmallServer() {
 }
 
 // Common interference scenario; `install` adds the technique under test.
-Outcome Run(const std::function<std::string(BenchRig*)>& install) {
+Outcome Run(const Install& install) {
   BenchRig rig(SmallServer());
   wlm_bench::DefineStandardWorkloads(&rig.wlm);
   // Flat engine weights: the *business* priorities still mark who matters
@@ -46,8 +53,8 @@ Outcome Run(const std::function<std::string(BenchRig*)>& install) {
   // same — protection must come from the execution-control technique.
   rig.wlm.SetWorkloadShares("oltp", {2.0, 2.0});
   rig.wlm.SetWorkloadShares("bi", {2.0, 2.0});
-  std::string static_evidence;
-  if (install) static_evidence = install(&rig);
+  std::function<std::string()> evidence;
+  if (install) evidence = install(&rig);
 
   // Interference: 3 big BI queries at t=0 plus an OLTP stream.
   WorkloadGenerator gen(1234);
@@ -69,7 +76,7 @@ Outcome Run(const std::function<std::string(BenchRig*)>& install) {
   outcome.oltp_p95 =
       rig.monitor.tag_stats("oltp").response_times.Percentile(95);
   outcome.bi_completed = rig.monitor.tag_stats("bi").completed;
-  outcome.evidence = static_evidence;
+  outcome.evidence = evidence ? evidence() : "-";
   return outcome;
 }
 
@@ -89,109 +96,106 @@ int main() {
     Outcome o = Run(nullptr);
     table.AddRow({"(no execution control)", "-",
                   TablePrinter::Num(o.oltp_p95, 3),
-                  TablePrinter::Int(o.bi_completed), "-"});
+                  TablePrinter::Int(o.bi_completed), o.evidence});
   }
 
   // Row 1: priority aging.
   {
-    PriorityAgingController* aging = nullptr;
-    Outcome o = Run([&](BenchRig* rig) {
+    Outcome o = Run([](BenchRig* rig) {
       PriorityAgingController::Config config;
       config.elapsed_threshold_seconds = 5.0;
       config.repeat_every_seconds = 5.0;
       config.workloads = {"bi"};
       auto controller = std::make_unique<PriorityAgingController>(config);
-      aging = controller.get();
+      PriorityAgingController* aging = controller.get();
       rig->wlm.AddExecutionController(std::move(controller));
-      return "";
+      return [aging] {
+        return TablePrinter::Int(aging->demotions()) + " demotions";
+      };
     });
     table.AddRow({"Priority Aging [9]", "Reprioritization",
                   TablePrinter::Num(o.oltp_p95, 3),
-                  TablePrinter::Int(o.bi_completed),
-                  TablePrinter::Int(aging->demotions()) + " demotions"});
+                  TablePrinter::Int(o.bi_completed), o.evidence});
   }
 
   // Row 2: policy-driven (economic) resource allocation.
   {
-    EconomicReallocationController* econ = nullptr;
-    Outcome o = Run([&](BenchRig* rig) {
+    Outcome o = Run([](BenchRig* rig) {
       EconomicReallocationController::Config config;
       config.participants = {{"oltp", 8.0, 0.5, 0.5},
                              {"bi", 1.0, 0.4, 0.6}};
       auto controller =
           std::make_unique<EconomicReallocationController>(config);
-      econ = controller.get();
+      EconomicReallocationController* econ = controller.get();
       rig->wlm.AddExecutionController(std::move(controller));
-      return "";
+      return [econ] {
+        return "oltp cpu share " +
+               TablePrinter::Pct(econ->LastAllocation("oltp").cpu_share);
+      };
     });
-    table.AddRow(
-        {"Policy-Driven Resource Allocation [4][78]", "Reprioritization",
-         TablePrinter::Num(o.oltp_p95, 3),
-         TablePrinter::Int(o.bi_completed),
-         "oltp cpu share " +
-             TablePrinter::Pct(econ->LastAllocation("oltp").cpu_share)});
+    table.AddRow({"Policy-Driven Resource Allocation [4][78]",
+                  "Reprioritization", TablePrinter::Num(o.oltp_p95, 3),
+                  TablePrinter::Int(o.bi_completed), o.evidence});
   }
 
   // Row 3: query kill.
   {
-    QueryKillController* killer = nullptr;
-    Outcome o = Run([&](BenchRig* rig) {
+    Outcome o = Run([](BenchRig* rig) {
       QueryKillController::Config config;
       config.max_elapsed_seconds = 20.0;
       config.max_victim_priority = BusinessPriority::kLow;
       auto controller = std::make_unique<QueryKillController>(config);
-      killer = controller.get();
+      QueryKillController* killer = controller.get();
       rig->wlm.AddExecutionController(std::move(controller));
-      return "";
+      return [killer] { return TablePrinter::Int(killer->kills()) + " kills"; };
     });
     table.AddRow({"Query Kill [30][50][61][72]", "Cancellation",
                   TablePrinter::Num(o.oltp_p95, 3),
-                  TablePrinter::Int(o.bi_completed),
-                  TablePrinter::Int(killer->kills()) + " kills"});
+                  TablePrinter::Int(o.bi_completed), o.evidence});
   }
 
   // Row 4: query stop-and-restart (suspend & resume).
   {
-    SuspendResumeController* suspender = nullptr;
-    Outcome o = Run([&](BenchRig* rig) {
+    Outcome o = Run([](BenchRig* rig) {
       rig->wlm.set_scheduler(std::make_unique<PriorityScheduler>(10));
       SuspendResumeController::Config config;
       config.min_cpu_utilization = 0.3;
       config.max_suspends_per_query = 1;
       auto controller = std::make_unique<SuspendResumeController>(config);
-      suspender = controller.get();
+      SuspendResumeController* suspender = controller.get();
       rig->wlm.AddExecutionController(std::move(controller));
       SuspendedResumeGate::Config gate;
       gate.min_cpu_utilization = 0.3;
       rig->wlm.AddAdmissionController(
           std::make_unique<SuspendedResumeGate>(gate));
-      return "";
+      return [suspender] {
+        return TablePrinter::Int(suspender->suspensions()) +
+               " suspensions (resumed later)";
+      };
     });
     table.AddRow({"Query Stop-and-Restart [10][12]", "Suspend & Resume",
                   TablePrinter::Num(o.oltp_p95, 3),
-                  TablePrinter::Int(o.bi_completed),
-                  TablePrinter::Int(suspender->suspensions()) +
-                      " suspensions (resumed later)"});
+                  TablePrinter::Int(o.bi_completed), o.evidence});
   }
 
   // Row 5: request throttling.
   {
-    QueryThrottleController* throttler = nullptr;
-    Outcome o = Run([&](BenchRig* rig) {
+    Outcome o = Run([](BenchRig* rig) {
       QueryThrottleController::Config config;
       config.victim_workload = "bi";
       config.protected_workload = "oltp";
       config.target_response_seconds = 0.1;
       auto controller = std::make_unique<QueryThrottleController>(config);
-      throttler = controller.get();
+      QueryThrottleController* throttler = controller.get();
       rig->wlm.AddExecutionController(std::move(controller));
-      return "";
+      return [throttler] {
+        return "final throttle " +
+               TablePrinter::Pct(throttler->throttle_level());
+      };
     });
-    table.AddRow(
-        {"Request Throttling [64][65][66]", "Throttling",
-         TablePrinter::Num(o.oltp_p95, 3),
-         TablePrinter::Int(o.bi_completed),
-         "final throttle " + TablePrinter::Pct(throttler->throttle_level())});
+    table.AddRow({"Request Throttling [64][65][66]", "Throttling",
+                  TablePrinter::Num(o.oltp_p95, 3),
+                  TablePrinter::Int(o.bi_completed), o.evidence});
   }
 
   table.Print(std::cout);

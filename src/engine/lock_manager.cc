@@ -67,7 +67,8 @@ void LockManager::GrantWaiters(LockKey key) {
   LockState& state = it->second;
   std::vector<Waiter> granted;
   while (!state.queue.empty()) {
-    const Waiter& w = state.queue.front();
+    // A copy: pop_front below may free the deque block holding the front.
+    const Waiter w = state.queue.front();
     if (!Compatible(state, w.txn, w.mode)) break;
     state.holders[w.txn] = w.mode;
     RecordGrant(w.txn, key);

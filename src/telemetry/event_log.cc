@@ -64,27 +64,41 @@ EventLog::EventLog(size_t max_events) : max_events_(max_events) {}
 void EventLog::Append(WlmEvent event) {
   const int64_t seq = total_++;
   by_type_[static_cast<size_t>(event.type)].push_back(seq);
-  by_query_[event.query].push_back(seq);
+  auto [chain_it, inserted] = by_query_.try_emplace(event.query);
+  QueryChain& chain = chain_it->second;
+  if (inserted) {
+    chain.head = seq;
+  } else {
+    next_seq_[Slot(chain.tail)] = seq;
+  }
+  chain.tail = seq;
+  ++chain.count;
   events_.push_back(std::move(event));
+  next_seq_.push_back(-1);
   while (events_.size() > max_events_) {
     const WlmEvent& oldest = events_.front();
     // The evicted event holds the globally smallest sequence number, so it
-    // must sit at the front of both of its index deques.
+    // must sit at the front of its type index and head its query chain.
     auto& type_index = by_type_[static_cast<size_t>(oldest.type)];
     assert(!type_index.empty() && type_index.front() == first_seq_);
     type_index.pop_front();
     auto query_it = by_query_.find(oldest.query);
     assert(query_it != by_query_.end() &&
-           query_it->second.front() == first_seq_);
-    query_it->second.pop_front();
-    if (query_it->second.empty()) by_query_.erase(query_it);
+           query_it->second.head == first_seq_);
+    if (--query_it->second.count == 0) {
+      by_query_.erase(query_it);
+    } else {
+      query_it->second.head = next_seq_.front();
+    }
     events_.pop_front();
+    next_seq_.pop_front();
     ++first_seq_;
   }
 }
 
 void EventLog::Clear() {
   events_.clear();
+  next_seq_.clear();
   for (auto& index : by_type_) index.clear();
   by_query_.clear();
   first_seq_ = total_;
@@ -102,8 +116,10 @@ std::vector<WlmEvent> EventLog::ForQuery(QueryId id) const {
   auto it = by_query_.find(id);
   if (it == by_query_.end()) return {};
   std::vector<WlmEvent> out;
-  out.reserve(it->second.size());
-  for (int64_t seq : it->second) out.push_back(AtSeq(seq));
+  out.reserve(it->second.count);
+  for (int64_t seq = it->second.head; seq >= 0; seq = next_seq_[Slot(seq)]) {
+    out.push_back(AtSeq(seq));
+  }
   return out;
 }
 

@@ -62,7 +62,9 @@ struct WlmEvent {
 /// `max_events` (the total count keeps counting). Per-type and per-query
 /// secondary indexes keep OfType/ForQuery/CountOf proportional to the
 /// result size instead of the retained window, and InWindow binary
-/// searches the (nondecreasing) event times.
+/// searches the (nondecreasing) event times. The per-query index is an
+/// intrusive chain through the retained events, so a new query costs one
+/// small map node rather than a container of its own.
 class EventLog {
  public:
   explicit EventLog(size_t max_events = 1 << 16);
@@ -84,18 +86,29 @@ class EventLog {
   int64_t CountOf(WlmEventType type) const;
 
  private:
-  const WlmEvent& AtSeq(int64_t seq) const {
-    return events_[static_cast<size_t>(seq - first_seq_)];
+  /// One query's events, linked oldest to newest through next_seq_.
+  struct QueryChain {
+    int64_t head = 0;
+    int64_t tail = 0;
+    size_t count = 0;
+  };
+
+  size_t Slot(int64_t seq) const {
+    return static_cast<size_t>(seq - first_seq_);
   }
+  const WlmEvent& AtSeq(int64_t seq) const { return events_[Slot(seq)]; }
 
   size_t max_events_;
   int64_t total_ = 0;      // sequence number of the next append
   int64_t first_seq_ = 0;  // sequence number of events_.front()
   std::deque<WlmEvent> events_;
+  // Parallel to events_: sequence number of the next retained event of the
+  // same query, or -1 for the newest.
+  std::deque<int64_t> next_seq_;
   // Secondary indexes hold sequence numbers (append order == time order),
-  // so eviction only ever pops their fronts.
+  // so eviction only ever pops their fronts / advances chain heads.
   std::array<std::deque<int64_t>, kWlmEventTypeCount> by_type_;
-  std::unordered_map<QueryId, std::deque<int64_t>> by_query_;
+  std::unordered_map<QueryId, QueryChain> by_query_;
 };
 
 }  // namespace wlm

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "telemetry/bounded_store.h"
+
 namespace wlm {
 
 const char* PhaseToString(Phase phase) {
@@ -89,20 +91,16 @@ ProfileStore::Entry* ProfileStore::FindEntry(QueryId id) {
 
 void ProfileStore::Begin(QueryId id, const std::string& workload,
                          QueryKind kind, double now, uint64_t journey) {
-  if (profiles_.count(id) > 0) return;
-  while (profiles_.size() >= max_profiles_ && !finished_order_.empty()) {
-    profiles_.erase(finished_order_.front());
-    finished_order_.pop_front();
-    ++evicted_;
-  }
-  Entry entry;
+  if (profiles_.find(id) != profiles_.end()) return;
+  Entry& entry = EmplaceRecycled(profiles_, finished_order_, max_profiles_,
+                                 evicted_, id,
+                                 [](Entry& stale) { stale = Entry(); });
   entry.profile.id = id;
   entry.profile.journey = journey;
   entry.profile.workload = workload;
   entry.profile.kind = kind;
   entry.profile.arrival_time = now;
   entry.order = next_order_++;
-  profiles_.emplace(id, std::move(entry));
 }
 
 void ProfileStore::OpenWait(QueryId id, Phase phase, double now) {

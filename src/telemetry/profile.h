@@ -113,9 +113,9 @@ std::string ExplainOutcome(const QueryProfile& profile);
 /// Accumulates QueryProfiles, driven by the Telemetry facade's lifecycle
 /// hooks. Bounded like the tracer: past `max_profiles` the oldest
 /// *terminal* profile is evicted per new profile (live requests are never
-/// dropped). Lookups are O(1); every externally visible listing
-/// (Profiles(), rollups()) is explicitly ordered, so the hash map never
-/// leaks iteration nondeterminism.
+/// dropped) and its slot is recycled for the new one. Lookups are O(1);
+/// every externally visible listing (Profiles(), rollups()) is explicitly
+/// ordered, so the hash map never leaks iteration nondeterminism.
 class ProfileStore {
  public:
   explicit ProfileStore(size_t max_profiles = 8192);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 namespace wlm {
 
@@ -118,8 +119,12 @@ void Telemetry::OnSubmit(QueryId id, const std::string& workload,
   if (!enabled_) return;
   tracer_.GetOrCreate(id, workload, kind, Now());
   if (profiling_) profiles_.Begin(id, workload, kind, Now(), journey);
-  metrics_.GetCounter("wlm_requests_submitted_total", {{"workload", workload}})
-      .Increment();
+  Counter*& submitted = workload_series_[workload].submitted;
+  if (submitted == nullptr) {
+    submitted = &metrics_.GetCounter("wlm_requests_submitted_total",
+                                     {{"workload", workload}});
+  }
+  submitted->Increment();
 }
 
 void Telemetry::OnAdmitted(QueryId id, const std::string& workload) {
@@ -194,11 +199,13 @@ void Telemetry::OnDispatch(QueryId id, const std::string& workload,
     }
     profiles_.MarkDispatched(id, now);
   }
-  metrics_
-      .GetCounter("wlm_dispatches_total",
-                  {{"workload", workload},
-                   {"resumed", resumed ? "true" : "false"}})
-      .Increment();
+  Counter*& dispatches = workload_series_[workload].dispatches[resumed];
+  if (dispatches == nullptr) {
+    dispatches = &metrics_.GetCounter(
+        "wlm_dispatches_total",
+        {{"workload", workload}, {"resumed", resumed ? "true" : "false"}});
+  }
+  dispatches->Increment();
 }
 
 void Telemetry::OnSuspendStart(QueryId id, const std::string& workload,
@@ -238,13 +245,16 @@ void Telemetry::OnTerminal(QueryId id, const std::string& workload,
                            const QueryOutcome& outcome) {
   if (!enabled_) return;
   const double now = Now();
+  WorkloadSeries& series = workload_series_[workload];
   if (outcome.lock_wait_seconds > 0.0) {
     tracer_.AddClosedSpan(
         id, SpanKind::kLockWait, outcome.dispatch_time,
         std::min(outcome.dispatch_time + outcome.lock_wait_seconds, now));
-    metrics_
-        .GetHistogram("wlm_lock_wait_seconds", {{"workload", workload}})
-        .Observe(outcome.lock_wait_seconds);
+    if (series.lock_wait == nullptr) {
+      series.lock_wait = &metrics_.GetHistogram("wlm_lock_wait_seconds",
+                                                {{"workload", workload}});
+    }
+    series.lock_wait->Observe(outcome.lock_wait_seconds);
   }
   char detail[160];
   std::snprintf(detail, sizeof(detail),
@@ -255,14 +265,26 @@ void Telemetry::OnTerminal(QueryId id, const std::string& workload,
   tracer_.FinishTrace(id, now);
   FinalizeProfile(id, outcome_name, "");
 
-  metrics_
-      .GetCounter(std::string("wlm_requests_") + outcome_name + "_total",
-                  {{"workload", workload}})
-      .Increment();
-  metrics_.GetHistogram("wlm_response_seconds", {{"workload", workload}})
-      .Observe(response_seconds);
-  metrics_.GetHistogram("wlm_queue_wait_seconds", {{"workload", workload}})
-      .Observe(queue_wait_seconds);
+  if (std::strcmp(outcome_name, "completed") == 0) {
+    if (series.completed == nullptr) {
+      series.completed = &metrics_.GetCounter(
+          "wlm_requests_completed_total", {{"workload", workload}});
+    }
+    series.completed->Increment();
+  } else {
+    metrics_
+        .GetCounter(std::string("wlm_requests_") + outcome_name + "_total",
+                    {{"workload", workload}})
+        .Increment();
+  }
+  if (series.response == nullptr) {
+    series.response = &metrics_.GetHistogram("wlm_response_seconds",
+                                             {{"workload", workload}});
+    series.queue_wait = &metrics_.GetHistogram("wlm_queue_wait_seconds",
+                                               {{"workload", workload}});
+  }
+  series.response->Observe(response_seconds);
+  series.queue_wait->Observe(queue_wait_seconds);
 }
 
 void Telemetry::OnThrottle(QueryId id, const std::string& workload,
@@ -521,17 +543,16 @@ void Telemetry::FinalizeProfile(QueryId id, const std::string& outcome,
   if (!profiling_) return;
   const QueryProfile* profile = profiles_.Finalize(id, Now(), outcome, detail);
   if (profile == nullptr) return;
-  auto [slot, inserted] = phase_counters_.try_emplace(profile->workload);
-  if (inserted) slot->second.fill(nullptr);
+  auto& counters = workload_series_[profile->workload].phase_seconds;
   for (size_t i = 0; i < kPhaseCount; ++i) {
     if (profile->phase_seconds[i] <= 0.0) continue;
-    if (slot->second[i] == nullptr) {
-      slot->second[i] = &metrics_.GetCounter(
+    if (counters[i] == nullptr) {
+      counters[i] = &metrics_.GetCounter(
           "wlm_phase_seconds_total",
           {{"phase", PhaseToString(static_cast<Phase>(i))},
            {"workload", profile->workload}});
     }
-    slot->second[i]->Increment(profile->phase_seconds[i]);
+    counters[i]->Increment(profile->phase_seconds[i]);
   }
   if (flight_recorder_enabled_) recorder_.RecordProfile(*profile);
 }

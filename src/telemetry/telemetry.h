@@ -220,12 +220,21 @@ class Telemetry {
   SystemIndicators last_indicators_;
   std::map<std::string, int> breaker_states_;
   size_t violations_seen_ = 0;  // watchdog watermark for trigger edges
-  // Per-workload cache of wlm_phase_seconds_total series: Counter objects
-  // are heap-allocated and pointer-stable, so finalizing a query costs one
-  // hash lookup instead of building + sorting + serializing a label set
-  // per nonzero phase.
-  std::unordered_map<std::string, std::array<Counter*, kPhaseCount>>
-      phase_counters_;
+  // Per-workload handles of the per-query series, each resolved on first
+  // use so the exposition holds exactly the series uncached lookups would
+  // create. Metric objects are heap-allocated and pointer-stable, so a
+  // hook costs one hash lookup instead of building + sorting + serializing
+  // a label set.
+  struct WorkloadSeries {
+    Counter* submitted = nullptr;
+    std::array<Counter*, 2> dispatches{};  // indexed by `resumed`
+    Counter* completed = nullptr;
+    HistogramMetric* response = nullptr;
+    HistogramMetric* queue_wait = nullptr;
+    HistogramMetric* lock_wait = nullptr;
+    std::array<Counter*, kPhaseCount> phase_seconds{};
+  };
+  std::unordered_map<std::string, WorkloadSeries> workload_series_;
 };
 
 }  // namespace wlm

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
+
+#include "telemetry/bounded_store.h"
 
 namespace wlm {
 
@@ -62,18 +65,26 @@ double QueryTrace::TotalOfKind(SpanKind kind) const {
   return total;
 }
 
-Tracer::Tracer(size_t max_traces) : max_traces_(max_traces) {}
+Tracer::Tracer(size_t max_traces) : max_traces_(max_traces) {
+  // The population is bounded, so sizing the table once avoids rehashes.
+  traces_.reserve(max_traces_);
+}
 
 QueryTrace& Tracer::GetOrCreate(QueryId id, const std::string& workload,
                                 QueryKind kind, double now) {
   auto it = traces_.find(id);
   if (it != traces_.end()) return it->second;
-  while (traces_.size() >= max_traces_ && !finished_order_.empty()) {
-    traces_.erase(finished_order_.front());
-    finished_order_.pop_front();
-    ++evicted_;
-  }
-  QueryTrace trace;
+  QueryTrace& trace = EmplaceRecycled(
+      traces_, finished_order_, max_traces_, evicted_, id,
+      [](QueryTrace& stale) {
+        // Back to defaults, keeping the span and instant capacity.
+        QueryTrace fresh;
+        fresh.spans.swap(stale.spans);
+        fresh.instants.swap(stale.instants);
+        fresh.spans.clear();
+        fresh.instants.clear();
+        stale = std::move(fresh);
+      });
   trace.id = id;
   trace.workload = workload;
   trace.kind = kind;
@@ -83,7 +94,7 @@ QueryTrace& Tracer::GetOrCreate(QueryId id, const std::string& workload,
   // up-front reservation spares every trace the realloc-and-move churn
   // of growing through 1/2/4/8/16.
   trace.spans.reserve(16);
-  return traces_.emplace(id, std::move(trace)).first->second;
+  return trace;
 }
 
 const QueryTrace* Tracer::Find(QueryId id) const {

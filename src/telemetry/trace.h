@@ -2,9 +2,10 @@
 #define WLM_TELEMETRY_TRACE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/types.h"
@@ -81,6 +82,8 @@ struct QueryTrace {
 /// Accumulates QueryTraces, bounded by `max_traces`: once the limit is
 /// reached the oldest *finished* trace is evicted per new trace (live
 /// queries are never dropped; their count is bounded by the MPL anyway).
+/// The evicted slot is recycled for the new trace, keeping its span and
+/// instant capacity, so a full tracer allocates no per-query nodes.
 class Tracer {
  public:
   explicit Tracer(size_t max_traces = 8192);
@@ -127,7 +130,7 @@ class Tracer {
   size_t max_traces_;
   int next_tid_ = 1;
   int64_t evicted_ = 0;
-  std::map<QueryId, QueryTrace> traces_;
+  std::unordered_map<QueryId, QueryTrace> traces_;
   std::deque<QueryId> finished_order_;
 };
 

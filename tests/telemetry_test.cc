@@ -296,6 +296,56 @@ TEST(Tracer, EvictsOldestFinishedTraces) {
   EXPECT_EQ(tracer.evicted(), 2u);
 }
 
+TEST(Tracer, RecycledSlotCarriesNoStaleState) {
+  Tracer tracer(/*max_traces=*/3);
+  // 1 and 3 finish with spans, instants and long (heap) strings; 2 stays
+  // live. At the cap, new ids recycle the finished slots, oldest first.
+  int last_tid = 0;
+  for (QueryId id = 1; id <= 3; ++id) {
+    last_tid = tracer.GetOrCreate(id, "reporting-workload-with-a-long-name",
+                                  QueryKind::kBiQuery, 0.0)
+                   .tid;
+    tracer.OpenSpan(id, SpanKind::kQueue, 0.0,
+                    "stale detail long enough to live on the heap");
+    tracer.AddClosedSpan(id, SpanKind::kLockWait, 0.5, 0.7);
+    tracer.Instant(id, "escalate", 0.6, "rung=kill");
+    if (id != 2) tracer.FinishTrace(id, 1.0);
+  }
+  for (QueryId id = 4; id <= 5; ++id) {
+    const QueryTrace& trace =
+        tracer.GetOrCreate(id, "oltp", QueryKind::kOltpTransaction, 2.0);
+    EXPECT_EQ(trace.id, id);
+    EXPECT_EQ(trace.workload, "oltp");
+    EXPECT_EQ(trace.kind, QueryKind::kOltpTransaction);
+    EXPECT_DOUBLE_EQ(trace.start_time, 2.0);
+    EXPECT_FALSE(trace.finished);
+    EXPECT_GT(trace.tid, last_tid);
+    last_tid = trace.tid;
+    EXPECT_TRUE(trace.spans.empty());
+    EXPECT_TRUE(trace.instants.empty());
+    tracer.OpenSpan(id, SpanKind::kExecute, 3.0, "fresh");
+    tracer.Instant(id, "throttle", 3.5);
+    ASSERT_EQ(trace.spans.size(), 1u);
+    EXPECT_EQ(trace.spans[0].kind, SpanKind::kExecute);
+    EXPECT_EQ(trace.spans[0].detail, "fresh");
+    ASSERT_EQ(trace.instants.size(), 1u);
+    EXPECT_EQ(trace.instants[0].name, "throttle");
+    EXPECT_TRUE(trace.instants[0].detail.empty());
+  }
+  EXPECT_EQ(tracer.evicted(), 2);
+  EXPECT_EQ(tracer.Find(1), nullptr);
+  EXPECT_EQ(tracer.Find(3), nullptr);
+  // The live trace was never a candidate and kept its own record.
+  const QueryTrace* live = tracer.Find(2);
+  ASSERT_NE(live, nullptr);
+  EXPECT_FALSE(live->finished);
+  EXPECT_EQ(live->spans.size(), 2u);
+  EXPECT_EQ(live->instants.size(), 1u);
+  std::vector<QueryId> order;
+  for (const QueryTrace* trace : tracer.Traces()) order.push_back(trace->id);
+  EXPECT_EQ(order, (std::vector<QueryId>{2, 4, 5}));
+}
+
 // ---------------------------------------------------------------------------
 // EventLog index correctness (including eviction past max_events)
 // ---------------------------------------------------------------------------
@@ -372,6 +422,33 @@ TEST(EventLog, ClearResetsIndexes) {
   log.Append(event);
   EXPECT_EQ(log.CountOf(WlmEventType::kKilled), 1);
   EXPECT_EQ(log.ForQuery(2).size(), 1u);
+}
+
+TEST(EventLog, QueryChainSurvivesFullEvictionAndReuse) {
+  EventLog log(4);
+  auto append = [&log](double time, QueryId query) {
+    WlmEvent event;
+    event.time = time;
+    event.type = WlmEventType::kSubmitted;
+    event.query = query;
+    log.Append(event);
+  };
+  append(0.0, 1);
+  append(1.0, 2);
+  append(2.0, 1);
+  append(3.0, 2);
+  append(4.0, 3);  // evicts 1@0
+  append(5.0, 3);  // evicts 2@1
+  append(6.0, 3);  // evicts 1@2: query 1 leaves the log entirely
+  EXPECT_TRUE(log.ForQuery(1).empty());
+  append(7.0, 1);  // evicts 2@3; query 1 starts a fresh chain
+  EXPECT_TRUE(log.ForQuery(2).empty());
+  std::vector<WlmEvent> one = log.ForQuery(1);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_DOUBLE_EQ(one[0].time, 7.0);
+  std::vector<double> three;
+  for (const WlmEvent& e : log.ForQuery(3)) three.push_back(e.time);
+  EXPECT_EQ(three, (std::vector<double>{4.0, 5.0, 6.0}));
 }
 
 // ---------------------------------------------------------------------------
@@ -682,6 +759,74 @@ TEST(ProfileStore, EvictsOldestTerminalProfilesOnly) {
   EXPECT_NE(store.Find(3), nullptr);
 }
 
+TEST(ProfileStore, RecycledSlotCarriesNoStaleState) {
+  ProfileStore store(2);
+  store.Begin(1, "reporting-workload-with-a-long-name", QueryKind::kBiQuery,
+              0.0, /*journey=*/42);
+  store.Begin(2, "oltp", QueryKind::kOltpTransaction, 0.0);
+  // Dirty every field of profile 1, then leave a wait segment open on the
+  // terminal profile so the slot is evicted in the worst state.
+  store.OpenQueueWait(1, 0.0);
+  store.MarkDispatched(1, 1.0);
+  QueryOutcome segment;
+  segment.cpu_used = 2.0;
+  segment.io_used = 50.0;
+  segment.memory_granted_mb = 256.0;
+  segment.lock_hold_seconds = 0.5;
+  segment.spill_factor = 3.0;
+  segment.buffer_hit_ratio = 0.9;
+  segment.phases.cpu_run_seconds = 2.0;
+  segment.phases.lock_wait_seconds = 0.5;
+  store.AccumulateSegment(1, segment);
+  store.CountRequeue(1);
+  store.CountSuspend(1);
+  ASSERT_NE(store.Finalize(1, 4.0, "killed", "timeout after a long run"),
+            nullptr);
+  store.OpenWait(1, Phase::kRetryBackoff, 4.5);
+
+  store.Begin(3, "bi", QueryKind::kBiQuery, 5.0);
+  EXPECT_EQ(store.evicted(), 1);
+  EXPECT_EQ(store.Find(1), nullptr);
+  const QueryProfile* p = store.Find(3);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->id, 3u);
+  EXPECT_EQ(p->journey, 0u);
+  EXPECT_EQ(p->workload, "bi");
+  EXPECT_EQ(p->kind, QueryKind::kBiQuery);
+  EXPECT_DOUBLE_EQ(p->arrival_time, 5.0);
+  EXPECT_DOUBLE_EQ(p->first_dispatch_time, -1.0);
+  EXPECT_DOUBLE_EQ(p->finish_time, -1.0);
+  EXPECT_FALSE(p->terminal());
+  EXPECT_TRUE(p->outcome.empty());
+  EXPECT_TRUE(p->detail.empty());
+  for (size_t i = 0; i < kPhaseCount; ++i) {
+    EXPECT_EQ(p->phase_seconds[i], 0.0) << PhaseToString(static_cast<Phase>(i));
+  }
+  EXPECT_EQ(p->resources.cpu_seconds, 0.0);
+  EXPECT_EQ(p->resources.io_ops, 0.0);
+  EXPECT_EQ(p->resources.peak_memory_mb, 0.0);
+  EXPECT_EQ(p->resources.lock_hold_seconds, 0.0);
+  EXPECT_EQ(p->resources.spill_factor, 1.0);
+  EXPECT_EQ(p->resources.buffer_hit_ratio, 0.0);
+  EXPECT_EQ(p->run_segments, 0);
+  EXPECT_EQ(p->suspend_count, 0);
+  EXPECT_EQ(p->requeue_count, 0);
+  EXPECT_EQ(store.OpenSegment(3), (std::pair<int, double>{-1, 0.0}));
+
+  // The recycled profile accrues only its own time from here on, and lists
+  // after the older live profile.
+  store.OpenQueueWait(3, 5.0);
+  const QueryProfile* done = store.Finalize(3, 6.0, "shed", "queue_full");
+  ASSERT_NE(done, nullptr);
+  EXPECT_DOUBLE_EQ(done->PhaseSum(), 1.0);
+  EXPECT_DOUBLE_EQ(done->seconds(Phase::kAdmissionQueue), 1.0);
+  std::vector<QueryId> order;
+  for (const QueryProfile* profile : store.Profiles()) {
+    order.push_back(profile->id);
+  }
+  EXPECT_EQ(order, (std::vector<QueryId>{2, 3}));
+}
+
 TEST(ProfileStore, ExplainOutcomeVerdicts) {
   QueryProfile p;
   EXPECT_EQ(ExplainOutcome(p), "live");
@@ -898,6 +1043,99 @@ TEST(TelemetryEndToEnd, ExportsAreByteStableAcrossIdenticalRuns) {
     EXPECT_FALSE(text.empty()) << name;
     EXPECT_EQ(text, b[name]) << name << " output differs between runs";
   }
+}
+
+// The facade caches per-workload series handles but resolves each on first
+// use, so the exposition holds exactly the series a run exercised: no
+// kill/resume series without kills/resumes, lock-wait histograms only for
+// workloads that waited, nothing at all for a workload with no traffic.
+TEST(TelemetryEndToEnd, PerQuerySeriesAppearOnlyOnceExercised) {
+  TestRig rig(TestEngineConfig(), /*monitor_interval=*/0.25);
+  WorkloadManager& wlm = rig.wlm;
+  for (const char* name : {"bi", "oltp", "idle"}) {
+    WorkloadDefinition def;
+    def.name = name;
+    wlm.DefineWorkload(def);
+  }
+  auto classifier = std::make_unique<StaticClassifier>();
+  ClassificationRule bi_rule;
+  bi_rule.workload = "bi";
+  bi_rule.kind = QueryKind::kBiQuery;
+  classifier->AddRule(bi_rule);
+  ClassificationRule oltp_rule;
+  oltp_rule.workload = "oltp";
+  oltp_rule.kind = QueryKind::kOltpTransaction;
+  classifier->AddRule(oltp_rule);
+  wlm.set_classifier(std::move(classifier));
+  wlm.set_scheduler(std::make_unique<PriorityScheduler>(/*mpl=*/8));
+
+  // Lock-free BI queries, and OLTP transactions that all want one
+  // exclusive key, so every OLTP transaction after the first waits.
+  rig.sim.Schedule(0.0, [&wlm] { (void)wlm.Submit(BiSpec(1, /*cpu=*/0.5)); });
+  rig.sim.Schedule(0.0, [&wlm] { (void)wlm.Submit(BiSpec(2, /*cpu=*/0.5)); });
+  for (int i = 0; i < 6; ++i) {
+    rig.sim.Schedule(0.1, [&wlm, i] {
+      QuerySpec spec = OltpSpec(static_cast<QueryId>(100 + i), /*cpu=*/0.05);
+      spec.locks = {{/*key=*/7, /*exclusive=*/true}};
+      (void)wlm.Submit(spec);
+    });
+  }
+  rig.sim.RunUntil(30.0);
+
+  const EventLog& log = wlm.event_log();
+  ASSERT_EQ(log.CountOf(WlmEventType::kCompleted), 8);
+  ASSERT_EQ(log.CountOf(WlmEventType::kKilled), 0);
+  ASSERT_EQ(log.CountOf(WlmEventType::kAborted), 0);
+  ASSERT_EQ(log.CountOf(WlmEventType::kResumed), 0);
+
+  const Telemetry& telemetry = wlm.telemetry();
+  std::map<std::string, int> lock_waiters;
+  for (const QueryProfile* p : telemetry.profiles().Profiles()) {
+    if (p->seconds(Phase::kLockWait) > 0.0) ++lock_waiters[p->workload];
+  }
+  ASSERT_EQ(lock_waiters.count("bi"), 0u);
+  ASSERT_EQ(lock_waiters["oltp"], 5);
+
+  std::ostringstream out;
+  WritePrometheus(telemetry.metrics(), out);
+  std::istringstream lines(out.str());
+  std::string line;
+  std::map<std::string, int> lock_wait_lines;
+  int dispatch_lines = 0;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    EXPECT_NE(line.rfind("wlm_requests_killed_total", 0), 0u) << line;
+    EXPECT_NE(line.rfind("wlm_requests_aborted_total", 0), 0u) << line;
+    if (line.rfind("wlm_dispatches_total", 0) == 0) {
+      ++dispatch_lines;
+      EXPECT_EQ(line.find("resumed=\"true\""), std::string::npos) << line;
+    }
+    if (line.rfind("wlm_lock_wait_seconds", 0) == 0) {
+      for (const char* workload : {"bi", "oltp", "idle"}) {
+        const std::string label = std::string("workload=\"") + workload + "\"";
+        if (line.find(label) != std::string::npos) ++lock_wait_lines[workload];
+      }
+    }
+    // A defined workload that saw no query owns no per-query series.
+    const bool per_query =
+        line.rfind("wlm_requests_", 0) == 0 ||
+        line.rfind("wlm_dispatches_total", 0) == 0 ||
+        line.rfind("wlm_response_seconds", 0) == 0 ||
+        line.rfind("wlm_queue_wait_seconds", 0) == 0 ||
+        line.rfind("wlm_lock_wait_seconds", 0) == 0 ||
+        line.rfind("wlm_phase_seconds_total", 0) == 0;
+    if (per_query) {
+      EXPECT_EQ(line.find("workload=\"idle\""), std::string::npos) << line;
+    }
+  }
+  EXPECT_EQ(dispatch_lines, 2);  // resumed="false" for bi and oltp
+  EXPECT_EQ(lock_wait_lines.count("bi"), 0u);
+  EXPECT_EQ(lock_wait_lines.count("idle"), 0u);
+  EXPECT_GT(lock_wait_lines["oltp"], 0);
+  const HistogramMetric* oltp_lock_wait = telemetry.metrics().FindHistogram(
+      "wlm_lock_wait_seconds", {{"workload", "oltp"}});
+  ASSERT_NE(oltp_lock_wait, nullptr);
+  EXPECT_EQ(oltp_lock_wait->count(), 5);
 }
 
 TEST(TelemetryEndToEnd, DisabledTelemetryChangesNoOutcome) {
