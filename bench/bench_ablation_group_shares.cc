@@ -14,6 +14,7 @@
 //       (population-tracking, still per-query),
 //   (c) engine group shares (two-level).
 
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 
@@ -63,8 +64,11 @@ double Run(int bi_queries, int mode) {  // mode 0/1/2 = (a)/(b)/(c)
       rig.wlm.AddExecutionController(std::make_unique<PerQueryRedivider>());
       break;
     case 2:
-      rig.engine.SetGroupShares("oltp", {8.0, 8.0});
-      rig.engine.SetGroupShares("bi", {2.0, 2.0});
+      if (!rig.engine.SetGroupShares("oltp", {8.0, 8.0}).ok() ||
+          !rig.engine.SetGroupShares("bi", {2.0, 2.0}).ok()) {
+        std::cerr << "group shares rejected\n";
+        std::exit(1);
+      }
       break;
   }
 

@@ -79,14 +79,23 @@ void BM_EngineTickWithQueries(benchmark::State& state) {
   EngineConfig config;
   config.tick_seconds = 0.05;
   DatabaseEngine engine(&sim, config);
-  WorkloadGenerator gen(3);
-  BiWorkloadConfig shape;
-  shape.cpu_mu = 6.0;  // long enough to stay running
+  // Lock-free queries with ~1e9 CPU-seconds and I/O ops never finish, so
+  // every timed tick shares capacity among exactly n active queries.
   for (int i = 0; i < n; ++i) {
-    (void)engine.Dispatch(gen.NextBi(shape), {});
+    QuerySpec spec;
+    spec.id = static_cast<QueryId>(i + 1);
+    spec.cpu_seconds = 1e9;
+    spec.io_ops = 1e9;
+    spec.memory_mb = 1.0;
+    (void)engine.Dispatch(spec, {});
   }
+  sim.RunFor(1.0);  // warm up
   for (auto _ : state) {
     sim.RunFor(0.05);  // one tick
+  }
+  state.counters["active"] = static_cast<double>(engine.running_count());
+  if (engine.running_count() != static_cast<size_t>(n)) {
+    state.SkipWithError("active population shrank during the run");
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

@@ -5,54 +5,6 @@
 #include <cmath>
 
 namespace wlm {
-namespace {
-
-constexpr double kEps = 1e-12;
-
-/// Weighted max-min fair allocation (water-filling): distributes `capacity`
-/// across users with `demands` in proportion to `weights`, never granting
-/// more than demanded, re-distributing slack from saturated users.
-std::vector<double> WeightedWaterFill(const std::vector<double>& demands,
-                                      const std::vector<double>& weights,
-                                      double capacity) {
-  size_t n = demands.size();
-  std::vector<double> grants(n, 0.0);
-  std::vector<bool> open(n, true);
-  for (size_t i = 0; i < n; ++i) {
-    if (demands[i] <= kEps || weights[i] <= kEps) open[i] = false;
-  }
-  while (capacity > kEps) {
-    double weight_sum = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      if (open[i]) weight_sum += weights[i];
-    }
-    if (weight_sum <= kEps) break;
-    bool any_saturated = false;
-    // First pass: saturate users whose fair share covers their demand.
-    for (size_t i = 0; i < n; ++i) {
-      if (!open[i]) continue;
-      double share = capacity * weights[i] / weight_sum;
-      double want = demands[i] - grants[i];
-      if (share >= want - kEps) {
-        grants[i] += want;
-        capacity -= want;
-        open[i] = false;
-        any_saturated = true;
-      }
-    }
-    if (!any_saturated) {
-      // Everyone is demand-unsaturated: split proportionally and finish.
-      for (size_t i = 0; i < n; ++i) {
-        if (!open[i]) continue;
-        grants[i] += capacity * weights[i] / weight_sum;
-      }
-      break;
-    }
-  }
-  return grants;
-}
-
-}  // namespace
 
 DatabaseEngine::DatabaseEngine(Simulation* sim, EngineConfig config)
     : sim_(sim),
@@ -127,50 +79,39 @@ void DatabaseEngine::Tick() {
   const double dt = config_.tick_seconds;
   const double now = sim_->Now();
 
-  std::vector<QueryId> ids;
-  std::vector<QueryExecution*> execs;
+  TickScratch& s = scratch_;
+  s.execs.clear();
   for (auto& [id, aq] : active_) {
+    (void)id;
     aq.exec->MaybeWake(now);
-    ids.push_back(id);
-    execs.push_back(aq.exec.get());
+    s.execs.push_back(aq.exec.get());
   }
 
-  std::vector<double> cpu_demand(execs.size());
-  std::vector<double> io_demand(execs.size());
-  std::vector<double> cpu_weight(execs.size());
-  std::vector<double> io_weight(execs.size());
-  for (size_t i = 0; i < execs.size(); ++i) {
-    cpu_demand[i] = execs[i]->CpuDemand(dt);
-    io_demand[i] = execs[i]->IoDemand(dt, config_.io_ops_per_second);
-    cpu_weight[i] = execs[i]->shares().cpu_weight;
-    io_weight[i] = execs[i]->shares().io_weight;
+  const size_t n = s.execs.size();
+  s.cpu_demand.resize(n);
+  s.io_demand.resize(n);
+  s.cpu_weight.resize(n);
+  s.io_weight.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    s.cpu_demand[i] = s.execs[i]->CpuDemand(dt);
+    s.io_demand[i] = s.execs[i]->IoDemand(dt, config_.io_ops_per_second);
+    s.cpu_weight[i] = s.execs[i]->shares().cpu_weight;
+    s.io_weight[i] = s.execs[i]->shares().io_weight;
   }
 
   // Two-level fair sharing: capacity is divided across *groups* first
   // (grouped tags use their group weights; an ungrouped query is its own
-  // group), then within each group across its member queries.
-  std::vector<std::vector<size_t>> groups;
-  std::vector<double> group_cpu_weight;
-  std::vector<double> group_io_weight;
-  {
-    std::unordered_map<std::string, size_t> tag_group;
-    for (size_t i = 0; i < execs.size(); ++i) {
-      const std::string& tag = execs[i]->context().tag;
-      auto shares_it = group_shares_.find(tag);
-      if (shares_it == group_shares_.end()) {
-        groups.push_back({i});
-        group_cpu_weight.push_back(cpu_weight[i]);
-        group_io_weight.push_back(io_weight[i]);
-        continue;
-      }
-      auto [group_it, inserted] = tag_group.try_emplace(tag, groups.size());
-      if (inserted) {
-        groups.push_back({});
-        group_cpu_weight.push_back(shares_it->second.cpu_weight);
-        group_io_weight.push_back(shares_it->second.io_weight);
-      }
-      groups[group_it->second].push_back(i);
+  // group), then within each group across its member queries. With no
+  // group shares set every query is a singleton group, and FairShare runs
+  // the split as the one water-fill it reduces to.
+  if (group_shares_.empty()) {
+    fair_share_.SetUngrouped();
+  } else {
+    s.group_of.clear();
+    for (QueryExecution* exec : s.execs) {
+      s.group_of.push_back(FindGroupShares(exec->context().tag));
     }
+    fair_share_.SetGroups(s.group_of);
   }
 
   // Injected degradation shrinks delivered capacity; utilization is
@@ -180,56 +121,27 @@ void DatabaseEngine::Tick() {
       static_cast<double>(config_.num_cpus - cpus_offline_) * dt;
   double io_capacity = config_.io_ops_per_second * io_rate_factor_ * dt;
 
-  auto two_level = [&](const std::vector<double>& demands,
-                       const std::vector<double>& weights,
-                       const std::vector<double>& group_weights,
-                       double capacity) {
-    std::vector<double> group_demand(groups.size(), 0.0);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      for (size_t i : groups[g]) group_demand[g] += demands[i];
-    }
-    std::vector<double> group_grant =
-        WeightedWaterFill(group_demand, group_weights, capacity);
-    std::vector<double> grants(demands.size(), 0.0);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      if (groups[g].size() == 1) {
-        grants[groups[g][0]] = group_grant[g];
-        continue;
-      }
-      std::vector<double> member_demand, member_weight;
-      for (size_t i : groups[g]) {
-        member_demand.push_back(demands[i]);
-        member_weight.push_back(weights[i]);
-      }
-      std::vector<double> member_grant =
-          WeightedWaterFill(member_demand, member_weight, group_grant[g]);
-      for (size_t k = 0; k < groups[g].size(); ++k) {
-        grants[groups[g][k]] = member_grant[k];
-      }
-    }
-    return grants;
-  };
-
-  std::vector<double> cpu_grant =
-      two_level(cpu_demand, cpu_weight, group_cpu_weight, cpu_capacity);
-  std::vector<double> io_grant =
-      two_level(io_demand, io_weight, group_io_weight, io_capacity);
+  fair_share_.Split(s.cpu_demand, s.cpu_weight, &ResourceShares::cpu_weight,
+                    cpu_capacity, &s.cpu_grant);
+  fair_share_.Split(s.io_demand, s.io_weight, &ResourceShares::io_weight,
+                    io_capacity, &s.io_grant);
 
   // Account *consumed* work, not grants: a pipeline-stalled query may
   // leave part of a grant unused (its CPU idles while it waits for I/O in
   // the same operator), and that slack must not count as usage.
   double cpu_used_total = 0.0;
   double io_used_total = 0.0;
-  std::vector<QueryId> done;
-  for (size_t i = 0; i < execs.size(); ++i) {
-    double cpu_before = execs[i]->cpu_used();
-    double io_before = execs[i]->io_used();
-    bool finished = execs[i]->Advance(cpu_grant[i], io_grant[i]);
-    double cpu_delta = execs[i]->cpu_used() - cpu_before;
+  s.done.clear();
+  for (size_t i = 0; i < n; ++i) {
+    QueryExecution* exec = s.execs[i];
+    double cpu_before = exec->cpu_used();
+    double io_before = exec->io_used();
+    bool finished = exec->Advance(s.cpu_grant[i], s.io_grant[i]);
+    double cpu_delta = exec->cpu_used() - cpu_before;
     cpu_used_total += cpu_delta;
-    io_used_total += execs[i]->io_used() - io_before;
-    execs[i]->SettlePhases(now, cpu_delta);
-    if (finished) done.push_back(ids[i]);
+    io_used_total += exec->io_used() - io_before;
+    exec->SettlePhases(now, cpu_delta);
+    if (finished) s.done.push_back(exec->spec().id);
   }
   counters_.cpu_used_seconds += cpu_used_total;
   counters_.io_ops_done += io_used_total;
@@ -240,7 +152,7 @@ void DatabaseEngine::Tick() {
   smoothed_cpu_ += alpha * (cpu_utilization_ - smoothed_cpu_);
   smoothed_io_ += alpha * (io_utilization_ - smoothed_io_);
 
-  for (QueryId id : done) {
+  for (QueryId id : s.done) {
     auto it = active_.find(id);
     if (it == active_.end()) continue;  // a callback already removed it
     if (it->second.exec->state() == QueryExecution::State::kSuspending) {
@@ -418,9 +330,15 @@ Status DatabaseEngine::SetShares(QueryId id, const ResourceShares& shares) {
   return Status::OK();
 }
 
-void DatabaseEngine::SetGroupShares(const std::string& tag,
-                                    const ResourceShares& shares) {
+Status DatabaseEngine::SetGroupShares(const std::string& tag,
+                                      const ResourceShares& shares) {
+  // Rejects NaN too: a zero-weight group is never granted capacity, so
+  // its queries would run forever.
+  if (!(shares.cpu_weight > 0.0) || !(shares.io_weight > 0.0)) {
+    return Status::InvalidArgument("group weights must be positive");
+  }
   group_shares_[tag] = shares;
+  return Status::OK();
 }
 
 void DatabaseEngine::ClearGroupShares(const std::string& tag) {

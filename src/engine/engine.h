@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "engine/buffer_pool.h"
 #include "engine/execution.h"
+#include "engine/fair_share.h"
 #include "engine/lock_manager.h"
 #include "engine/memory_governor.h"
 #include "engine/optimizer.h"
@@ -119,8 +120,9 @@ class DatabaseEngine {
   /// groups* (each ungrouped query is its own group with its own weight),
   /// then within a group across its queries. This is the engine surface
   /// behind workload-level allocations — economic reallocation [78] and
-  /// resource-pool reservations [50].
-  void SetGroupShares(const std::string& tag, const ResourceShares& shares);
+  /// resource-pool reservations [50]. Both weights must be positive.
+  [[nodiscard]] Status SetGroupShares(const std::string& tag,
+                                      const ResourceShares& shares);
   void ClearGroupShares(const std::string& tag);
   /// Group weights for `tag`, or nullptr if the tag is ungrouped.
   const ResourceShares* FindGroupShares(const std::string& tag) const;
@@ -159,6 +161,20 @@ class DatabaseEngine {
   struct ActiveQuery {
     std::unique_ptr<QueryExecution> exec;
   };
+  /// Per-tick working set, indexed like the active queries in id order.
+  /// Cleared and refilled every tick, never rebuilt, so a steady-state
+  /// tick does not allocate.
+  struct TickScratch {
+    std::vector<QueryExecution*> execs;
+    std::vector<double> cpu_demand;
+    std::vector<double> io_demand;
+    std::vector<double> cpu_weight;
+    std::vector<double> io_weight;
+    std::vector<const ResourceShares*> group_of;
+    std::vector<double> cpu_grant;
+    std::vector<double> io_grant;
+    std::vector<QueryId> done;
+  };
 
   void EnsureTicking();
   void Tick();
@@ -182,6 +198,8 @@ class DatabaseEngine {
 
   std::map<QueryId, ActiveQuery> active_;  // ordered for determinism
   std::unordered_map<std::string, ResourceShares> group_shares_;
+  FairShare fair_share_;
+  TickScratch scratch_;
   std::unordered_map<QueryId, SuspendedQuery> pending_suspend_;
   std::unordered_map<QueryId, SuspendedQuery> suspended_;
   FinishCallback observer_;

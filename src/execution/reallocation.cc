@@ -1,6 +1,7 @@
 #include "execution/reallocation.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "core/workload_manager.h"
 
@@ -51,7 +52,11 @@ void EconomicReallocationController::OnSample(
         std::max(1e-3, equilibrium[i].cpu_share * config_.weight_scale);
     shares.io_weight =
         std::max(1e-3, equilibrium[i].io_share * config_.weight_scale);
-    manager.engine()->SetGroupShares(p.workload, shares);
+    // Both weights are clamped positive above, which is all SetGroupShares
+    // checks.
+    Status status = manager.engine()->SetGroupShares(p.workload, shares);
+    assert(status.ok());
+    (void)status;
   }
 }
 

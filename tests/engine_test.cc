@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -770,8 +771,8 @@ TEST(EngineGroupShareTest, GroupOwnsItsShareRegardlessOfMemberCount) {
   DatabaseEngine engine(&sim, cfg);
   // Group "many": 4 queries; group "one": a single query. Equal group
   // weights -> the lone query gets as much as the four together.
-  engine.SetGroupShares("many", {1.0, 1.0});
-  engine.SetGroupShares("one", {1.0, 1.0});
+  ASSERT_TRUE(engine.SetGroupShares("many", {1.0, 1.0}).ok());
+  ASSERT_TRUE(engine.SetGroupShares("one", {1.0, 1.0}).ok());
   for (QueryId id = 1; id <= 4; ++id) {
     ExecutionContext ctx;
     ctx.tag = "many";
@@ -798,7 +799,7 @@ TEST(EngineGroupShareTest, UngroupedQueriesKeepPerQueryWeights) {
   EngineConfig cfg = FastConfig();
   cfg.num_cpus = 1;
   DatabaseEngine engine(&sim, cfg);
-  engine.SetGroupShares("pool", {1.0, 1.0});
+  ASSERT_TRUE(engine.SetGroupShares("pool", {1.0, 1.0}).ok());
   ExecutionContext grouped;
   grouped.tag = "pool";
   ASSERT_TRUE(engine.Dispatch(MakeBiQuery(1, 10.0, 1.0, 4.0),
@@ -820,10 +821,30 @@ TEST(EngineGroupShareTest, UngroupedQueriesKeepPerQueryWeights) {
 TEST(EngineGroupShareTest, ClearGroupSharesRestoresPerQuery) {
   Simulation sim;
   DatabaseEngine engine(&sim, FastConfig());
-  engine.SetGroupShares("g", {5.0, 5.0});
+  ASSERT_TRUE(engine.SetGroupShares("g", {5.0, 5.0}).ok());
   EXPECT_NE(engine.FindGroupShares("g"), nullptr);
   engine.ClearGroupShares("g");
   EXPECT_EQ(engine.FindGroupShares("g"), nullptr);
+}
+
+TEST(EngineGroupShareTest, RejectsNonPositiveAndNaNWeights) {
+  Simulation sim;
+  DatabaseEngine engine(&sim, FastConfig());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const ResourceShares bad[] = {
+      {0.0, 0.0}, {0.0, 1.0}, {1.0, 0.0}, {-1.0, 1.0}, {1.0, -2.0},
+      {nan, 1.0}, {1.0, nan}};
+  for (const ResourceShares& shares : bad) {
+    Status status = engine.SetGroupShares("g", shares);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  }
+  // A rejected call installs nothing: the tag stays ungrouped.
+  EXPECT_EQ(engine.FindGroupShares("g"), nullptr);
+  EXPECT_TRUE(engine.SetGroupShares("g", {1e-3, 1e-3}).ok());
+  ASSERT_NE(engine.FindGroupShares("g"), nullptr);
+  // A rejected update keeps the previous weights.
+  EXPECT_FALSE(engine.SetGroupShares("g", {0.0, 1.0}).ok());
+  EXPECT_EQ(engine.FindGroupShares("g")->cpu_weight, 1e-3);
 }
 
 TEST(EngineSmoothingTest, SmoothedUtilizationBridgesIdleTicks) {
