@@ -5,7 +5,9 @@
 // head-of-line blocking maximal; the sweep shows the short-query latency
 // vs the monster's total-completion penalty as the chunk size shrinks.
 
+#include <cstdint>
 #include <iostream>
+#include <map>
 #include <memory>
 
 #include "bench/bench_util.h"
@@ -41,6 +43,15 @@ Row Run(double chunk_work) {  // <= 0: monolithic
   monster.memory_mb = 512.0;
   monster.result_rows = 1000000;
 
+  // Completed responses of every id >= 100 as they finish (the manager
+  // retains only a window of terminal requests), in submission order.
+  std::map<uint64_t, double> completed;
+  rig.wlm.AddCompletionListener([&](const Request& r) {
+    if (r.spec.id >= 100 && r.state == RequestState::kCompleted) {
+      completed[r.submit_seq] = r.ResponseTime();
+    }
+  });
+
   double monster_finish = -1.0;
   // Lives until the end of the run so the chunk chain can complete.
   std::unique_ptr<SlicedQuerySubmitter> submitter;
@@ -73,11 +84,7 @@ Row Run(double chunk_work) {  // <= 0: monolithic
   rig.sim.RunUntil(600.0);
 
   Percentiles shorts;
-  for (const Request* r : rig.wlm.AllRequests()) {
-    if (r->spec.id >= 100 && r->state == RequestState::kCompleted) {
-      shorts.Add(r->ResponseTime());
-    }
-  }
+  for (const auto& [seq, response] : completed) shorts.Add(response);
   row.short_mean = shorts.mean();
   row.short_p95 = shorts.Percentile(95);
   row.monster_response = monster_finish;

@@ -3,7 +3,9 @@
 // stream mix. The paper's claim: dynamic queue-management schedulers let
 // important/short work meet objectives that static FIFO queues miss.
 
+#include <cstdint>
 #include <iostream>
+#include <map>
 #include <memory>
 
 #include "bench/bench_util.h"
@@ -58,6 +60,15 @@ Row Run(int mode) {  // 0 fifo, 1 priority, 2 rank, 3 utility, 4 feedback
       break;
     }
   }
+  // Completed BI responses by size, gathered as they finish (the
+  // manager retains only a window of terminal requests) and keyed by
+  // submission order.
+  std::map<uint64_t, double> short_bi_done, long_bi_done;
+  rig.wlm.AddCompletionListener([&](const Request& r) {
+    if (r.workload != "bi" || r.state != RequestState::kCompleted) return;
+    (r.spec.cpu_seconds < 2.0 ? short_bi_done : long_bi_done)[r.submit_seq] =
+        r.ResponseTime();
+  });
 
   // Mixed load: OLTP stream + bimodal BI (short interactive + long batch).
   WorkloadGenerator gen(2025);
@@ -85,17 +96,13 @@ Row Run(int mode) {  // 0 fifo, 1 priority, 2 rank, 3 utility, 4 feedback
   const TagStats& oltp = rig.monitor.tag_stats("oltp");
   row.oltp_goal_attainment = oltp.response_times.FractionAtOrBelow(0.2);
   row.oltp_p95 = oltp.response_times.Percentile(95);
-  // Split BI responses by size using the request log.
+  // BI responses split by size, summed in submission order.
   OnlineStats short_responses, long_responses;
-  for (const Request* r : rig.wlm.AllRequests()) {
-    if (r->workload != "bi" || r->state != RequestState::kCompleted) {
-      continue;
-    }
-    if (r->spec.cpu_seconds < 2.0) {
-      short_responses.Add(r->ResponseTime());
-    } else {
-      long_responses.Add(r->ResponseTime());
-    }
+  for (const auto& [seq, response] : short_bi_done) {
+    short_responses.Add(response);
+  }
+  for (const auto& [seq, response] : long_bi_done) {
+    long_responses.Add(response);
   }
   row.short_bi_mean = short_responses.mean();
   row.long_bi_mean = long_responses.mean();

@@ -46,7 +46,10 @@ int main() {
   DatabaseEngine engine(&sim, config);
   Monitor monitor(&sim, &engine, 1.0);
   monitor.Start();
-  WorkloadManager unmanaged(&sim, &engine, &monitor);
+  // The query log (DBQL) keeps every finished request of the run.
+  WlmConfig dbql;
+  dbql.retained_requests_capacity = 1 << 20;
+  WorkloadManager unmanaged(&sim, &engine, &monitor, dbql);
   WorkloadGenerator generator(321);
   Rng arrivals(321);
   DriveTraffic(&sim, &unmanaged, &generator, &arrivals, 60.0);

@@ -178,8 +178,12 @@ Status ClusterDispatcher::Submit(QuerySpec spec) {
     // only: no control decision reads it). 0 = log full, untracked.
     spec.journey = journeys_.Begin(spec.id, std::string(), sim_->Now());
   }
-  return SubmitToShards(std::move(spec), /*is_redispatch=*/false, {},
-                        RouteCause::kPlace);
+  const QueryId id = spec.id;
+  const Status status = SubmitToShards(std::move(spec),
+                                       /*is_redispatch=*/false, {},
+                                       RouteCause::kPlace);
+  journeys_.Release(id);  // Begin's hold: the placement pass is over
+  return status;
 }
 
 std::vector<int> ClusterDispatcher::EligibleShards(
@@ -251,8 +255,7 @@ Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
       break;
     }
     const int pick = policy_->Pick(spec, Snapshots(eligible));
-    route_log_.push_back(
-        {sim_->Now(), spec.id, pick, attempt, is_redispatch, cause});
+    LogRoute({sim_->Now(), spec.id, pick, attempt, is_redispatch, cause});
     const int life = journeys_.OpenLife(spec.id, pick, cause, attempt,
                                         is_redispatch, sim_->Now(), prev_life);
     if (life >= 0) prev_life = life;
@@ -266,7 +269,7 @@ Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
       routed_counters_[static_cast<size_t>(pick)]->Increment();
       ++shard.blackholed_;
       blackholed_counters_[static_cast<size_t>(pick)]->Increment();
-      orphans_[static_cast<size_t>(pick)].push_back({spec, std::string()});
+      Strand(pick, {spec, std::string()});
       journeys_.CloseLife(spec.id, pick, sim_->Now(), "blackholed");
       if (options_.redispatch) shards_tried_[spec.id].insert(pick);
       if (is_redispatch) {
@@ -349,8 +352,7 @@ void ClusterDispatcher::MaybeHedge(const QuerySpec& spec, int primary) {
   }
   const int alt = best->shard;
   ClusterShard& shard = *shards_[static_cast<size_t>(alt)];
-  route_log_.push_back(
-      {sim_->Now(), spec.id, alt, 0, false, RouteCause::kHedge});
+  LogRoute({sim_->Now(), spec.id, alt, 0, false, RouteCause::kHedge});
   // The duplicate's life descends from the primary copy's via a `hedge`
   // edge — the journey shows both the winner and the cancelled loser.
   journeys_.OpenLife(spec.id, alt, RouteCause::kHedge, 0, false, sim_->Now(),
@@ -363,7 +365,7 @@ void ClusterDispatcher::MaybeHedge(const QuerySpec& spec, int primary) {
     routed_counters_[static_cast<size_t>(alt)]->Increment();
     ++shard.blackholed_;
     blackholed_counters_[static_cast<size_t>(alt)]->Increment();
-    orphans_[static_cast<size_t>(alt)].push_back({spec, std::string()});
+    Strand(alt, {spec, std::string()});
     journeys_.CloseLife(spec.id, alt, sim_->Now(), "blackholed");
   } else {
     const Status status = shard.wlm().Submit(spec);
@@ -404,6 +406,7 @@ void ClusterDispatcher::CancelHedgeLoser(int loser, QueryId id) {
     for (auto it = orphans.begin(); it != orphans.end(); ++it) {
       if (it->spec.id == id) {
         orphans.erase(it);
+        journeys_.Release(id);
         ++hedges_cancelled_;
         metrics_.GetCounter("wlm_cluster_hedge_cancelled_total").Increment();
         // The life already closed as "blackholed" when the copy hit the
@@ -508,9 +511,13 @@ void ClusterDispatcher::MaybeRedispatch(int from_shard,
   // the coordination delay.
   const int parent_life =
       journeys_.LatestLifeOnShard(request.spec.id, from_shard);
+  // Held across the delay, so the journey is not evicted before the
+  // re-dispatch opens its next life.
+  journeys_.Hold(request.spec.id);
   sim_->Schedule(options_.redispatch_delay_seconds,
                  [this, spec = std::move(spec), workload, cause,
                   parent_life]() {
+                   journeys_.Release(spec.id);
                    const std::set<int>& tried = shards_tried_[spec.id];
                    std::vector<int> eligible = EligibleShards(tried);
                    if (eligible.empty()) return;
@@ -585,8 +592,7 @@ void ClusterDispatcher::CrashShard(int shard_index) {
     // Hedged victims whose entry survived the kill still have a sibling
     // copy in flight — the sibling owns the query now.
     if (hedges_.count(victim.spec.id) != 0) continue;
-    orphans_[static_cast<size_t>(shard_index)].push_back(
-        {std::move(victim.spec), std::move(victim.workload)});
+    Strand(shard_index, {std::move(victim.spec), std::move(victim.workload)});
   }
 }
 
@@ -704,11 +710,18 @@ void ClusterDispatcher::MarkShardDown(int shard_index,
     shard.draining_ = false;
     for (WorkloadManager::DrainedQuery& victim : victims) {
       if (hedges_.count(victim.spec.id) != 0) continue;
-      orphans_[static_cast<size_t>(shard_index)].push_back(
-          {std::move(victim.spec), std::move(victim.workload)});
+      Strand(shard_index,
+             {std::move(victim.spec), std::move(victim.workload)});
     }
   }
   DrainOrphans(shard_index);
+}
+
+void ClusterDispatcher::Strand(int shard_index, Orphan orphan) {
+  // The orphan may yet get a life elsewhere: its journey stays held
+  // until a drain or a hedge cancellation takes the orphan back out.
+  journeys_.Hold(orphan.spec.id);
+  orphans_[static_cast<size_t>(shard_index)].push_back(std::move(orphan));
 }
 
 void ClusterDispatcher::DrainOrphans(int shard_index) {
@@ -717,6 +730,7 @@ void ClusterDispatcher::DrainOrphans(int shard_index) {
   if (orphans.empty()) return;
   const double now = sim_->Now();
   for (Orphan& orphan : orphans) {
+    journeys_.Release(orphan.spec.id);  // Strand's hold
     auto hit = hedges_.find(orphan.spec.id);
     if (hit != hedges_.end()) {
       // A black-holed hedge copy. If its sibling already resolved
@@ -791,6 +805,11 @@ void ClusterDispatcher::LogClusterEvent(WlmEventType type, QueryId query,
   event_log_.Append(std::move(event));
 }
 
+void ClusterDispatcher::LogRoute(const RouteDecision& decision) {
+  if (route_log_.size() >= kRouteLogCapacity) route_log_.pop_front();
+  route_log_.push_back(decision);
+}
+
 std::string ClusterDispatcher::FormatRouteLog() const {
   std::string out;
   out.reserve(route_log_.size() * 56);
@@ -846,7 +865,7 @@ void ClusterDispatcher::RefreshGauges() {
         .Set(options_.health.enabled ? shard->Phi(now) : 0.0);
   }
   metrics_.GetGauge("wlm_cluster_journeys")
-      .Set(static_cast<double>(journeys_.journeys().size()));
+      .Set(static_cast<double>(journeys_.size()));
   metrics_.GetGauge("wlm_cluster_journeys_dropped")
       .Set(static_cast<double>(journeys_.dropped()));
 }

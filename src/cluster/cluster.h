@@ -1,7 +1,9 @@
 #ifndef WLM_CLUSTER_CLUSTER_H_
 #define WLM_CLUSTER_CLUSTER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -27,6 +29,10 @@
 
 namespace wlm {
 
+/// Routing decisions ClusterDispatcher::route_log() keeps: the newest N,
+/// the oldest evicted first.
+constexpr size_t kRouteLogCapacity = 16384;
+
 /// Cluster-wide observability: metric federation, per-query journeys and
 /// the bounded time-series ring feeding SLO burn rates and post-mortems.
 /// Passive by contract — nothing here reads into a control decision, so
@@ -34,6 +40,7 @@ namespace wlm {
 struct ClusterObservabilityOptions {
   /// Track every arrival's lives across shards in a JourneyLog.
   bool journeys = true;
+  /// Journeys kept; past it the oldest completed journey is evicted.
   size_t max_journeys = 65536;
   /// Periodically federate the per-shard registries and sample cluster
   /// series into the time-series ring.
@@ -196,7 +203,7 @@ class ClusterDispatcher {
   /// caller configures its WorkloadManager).
   using ShardConfigurator = std::function<void(int shard, WorkloadManager&)>;
 
-  /// One placement decision, in submission order.
+  /// One placement decision, in routing order.
   struct RouteDecision {
     double time = 0.0;
     QueryId query = 0;
@@ -241,8 +248,9 @@ class ClusterDispatcher {
   /// scripts degrade per-shard quality through it.
   DispatchLinkModel& link() { return link_; }
 
-  const std::vector<RouteDecision>& route_log() const { return route_log_; }
-  /// Canonical text form of the route log, one decision per line — the
+  /// The newest kRouteLogCapacity decisions, oldest first.
+  const std::deque<RouteDecision>& route_log() const { return route_log_; }
+  /// Canonical text form of route_log(), one decision per line — the
   /// byte-comparable routing-determinism surface.
   std::string FormatRouteLog() const;
 
@@ -336,6 +344,8 @@ class ClusterDispatcher {
   void MarkShardDown(int shard, const std::string& why);
   void DrainOrphans(int shard);
   void LogClusterEvent(WlmEventType type, QueryId query, std::string detail);
+  /// Appends to the route log, evicting its oldest decision when full.
+  void LogRoute(const RouteDecision& decision);
   void RefreshGauges();
   void StartObservabilityLoop();
   /// One federation sample: federate the registries, push the tracked
@@ -352,6 +362,8 @@ class ClusterDispatcher {
     QuerySpec spec;
     std::string workload;
   };
+  /// Parks `orphan` on dead `shard` until a drain grants it another life.
+  void Strand(int shard, Orphan orphan);
 
   /// A hedged query's two lives. First completion wins; the loser is
   /// killed one instant later and its terminal events are swallowed.
@@ -384,7 +396,7 @@ class ClusterDispatcher {
   std::vector<Counter*> lost_counters_;
   std::vector<Counter*> blackholed_counters_;
   std::vector<Counter*> hedge_won_counters_;
-  std::vector<RouteDecision> route_log_;
+  std::deque<RouteDecision> route_log_;
   /// Work stranded on each dead shard, awaiting detection (or lost for
   /// good when health is disabled).
   std::vector<std::vector<Orphan>> orphans_;

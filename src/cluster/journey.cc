@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "cluster/cluster.h"
+#include "telemetry/bounded_store.h"
 
 namespace wlm {
 
@@ -46,30 +47,71 @@ uint64_t JourneyLog::Begin(QueryId query, const std::string& workload,
                            double now) {
   auto existing = by_query_.find(query);
   if (existing != by_query_.end()) {
-    return journeys_[existing->second].id;  // duplicate submit attempt
+    ++existing->second->holds;  // duplicate submit attempt
+    return existing->second->journey.id;
   }
   if (journeys_.size() >= max_journeys_) {
-    ++dropped_;
-    return 0;
+    // Drop stale entries so the front is a journey completed right now,
+    // at its latest completion.
+    while (!completed_.empty()) {
+      Slot& front = journeys_.at(completed_.front());
+      if (front.queued == 1 && front.completed()) break;
+      --front.queued;
+      completed_.pop_front();
+    }
+    if (completed_.empty()) {
+      ++dropped_;
+      return 0;
+    }
   }
-  Journey journey;
-  journey.id = next_id_++;
-  journey.query = query;
-  journey.workload = workload;
-  journey.arrival = now;
-  by_query_[query] = journeys_.size();
-  journeys_.push_back(std::move(journey));
-  return journeys_.back().id;
+  const uint64_t id = next_id_++;
+  Slot& slot = EmplaceRecycled(
+      journeys_, completed_, max_journeys_, evicted_, id,
+      [this](Slot& evicted) {
+        by_query_.erase(evicted.journey.query);
+        evicted.journey.lives.clear();
+        evicted.journey.workload.clear();
+        evicted.queued = 0;
+      });
+  slot.journey.id = id;
+  slot.journey.query = query;
+  slot.journey.workload = workload;
+  slot.journey.arrival = now;
+  slot.holds = 1;
+  by_query_[query] = &slot;
+  return id;
+}
+
+void JourneyLog::Hold(QueryId query) {
+  if (Slot* slot = FindSlot(query)) ++slot->holds;
+}
+
+void JourneyLog::Release(QueryId query) {
+  Slot* slot = FindSlot(query);
+  if (slot == nullptr || slot->holds == 0) return;
+  --slot->holds;
+  MaybeQueue(*slot);
+}
+
+void JourneyLog::MaybeQueue(Slot& slot) {
+  if (!slot.completed()) return;
+  completed_.push_back(slot.journey.id);
+  ++slot.queued;
+}
+
+JourneyLog::Slot* JourneyLog::FindSlot(QueryId query) {
+  auto it = by_query_.find(query);
+  return it == by_query_.end() ? nullptr : it->second;
 }
 
 Journey* JourneyLog::FindMutable(QueryId query) {
-  auto it = by_query_.find(query);
-  return it == by_query_.end() ? nullptr : &journeys_[it->second];
+  Slot* slot = FindSlot(query);
+  return slot == nullptr ? nullptr : &slot->journey;
 }
 
 const Journey* JourneyLog::Find(QueryId query) const {
   auto it = by_query_.find(query);
-  return it == by_query_.end() ? nullptr : &journeys_[it->second];
+  return it == by_query_.end() ? nullptr : &it->second->journey;
 }
 
 int JourneyLog::OpenLife(QueryId query, int shard, RouteCause cause,
@@ -102,12 +144,14 @@ int JourneyLog::LatestLifeOnShard(QueryId query, int shard) const {
 
 void JourneyLog::CloseLife(QueryId query, int shard, double now,
                            const std::string& outcome) {
-  Journey* journey = FindMutable(query);
-  if (journey == nullptr) return;
-  for (auto it = journey->lives.rbegin(); it != journey->lives.rend(); ++it) {
+  Slot* slot = FindSlot(query);
+  if (slot == nullptr) return;
+  std::vector<JourneyLife>& lives = slot->journey.lives;
+  for (auto it = lives.rbegin(); it != lives.rend(); ++it) {
     if (it->shard == shard && it->end < 0.0) {
       it->end = now;
       it->outcome = outcome;
+      MaybeQueue(*slot);
       return;
     }
   }
@@ -115,69 +159,64 @@ void JourneyLog::CloseLife(QueryId query, int shard, double now,
 
 void JourneyLog::MarkOutcome(QueryId query, int shard, double now,
                              const std::string& outcome) {
-  Journey* journey = FindMutable(query);
-  if (journey == nullptr) return;
-  for (auto it = journey->lives.rbegin(); it != journey->lives.rend(); ++it) {
+  Slot* slot = FindSlot(query);
+  if (slot == nullptr) return;
+  std::vector<JourneyLife>& lives = slot->journey.lives;
+  for (auto it = lives.rbegin(); it != lives.rend(); ++it) {
     if (it->shard == shard) {
-      if (it->end < 0.0) it->end = now;
+      const bool was_open = it->end < 0.0;
+      if (was_open) it->end = now;
       it->outcome = outcome;
+      if (was_open) MaybeQueue(*slot);
       return;
     }
   }
 }
 
-void WriteJourneysJsonl(const std::vector<Journey>& journeys,
-                        std::ostream& out) {
-  for (const Journey& journey : journeys) {
-    for (const JourneyLife& life : journey.lives) {
-      out << "{\"journey\":" << journey.id << ",\"query\":" << journey.query
-          << ",\"workload\":\"" << journey.workload << "\",\"life\":"
-          << life.index << ",\"parent\":" << life.parent << ",\"cause\":\""
-          << RouteCauseToString(life.cause) << "\",\"shard\":" << life.shard
-          << ",\"attempt\":" << life.attempt << ",\"redispatch\":"
-          << (life.redispatch ? "true" : "false") << ",\"start\":"
-          << F6(life.start) << ",\"end\":" << F6(life.end)
-          << ",\"outcome\":\"" << life.outcome << "\",\"phase_sum\":"
-          << F6(life.PhaseSum()) << ",\"profile_wall\":"
-          << F6(life.profile_wall_seconds) << "}\n";
-    }
+void WriteJourneyJsonl(const Journey& journey, std::ostream& out) {
+  for (const JourneyLife& life : journey.lives) {
+    out << "{\"journey\":" << journey.id << ",\"query\":" << journey.query
+        << ",\"workload\":\"" << journey.workload << "\",\"life\":"
+        << life.index << ",\"parent\":" << life.parent << ",\"cause\":\""
+        << RouteCauseToString(life.cause) << "\",\"shard\":" << life.shard
+        << ",\"attempt\":" << life.attempt << ",\"redispatch\":"
+        << (life.redispatch ? "true" : "false") << ",\"start\":"
+        << F6(life.start) << ",\"end\":" << F6(life.end)
+        << ",\"outcome\":\"" << life.outcome << "\",\"phase_sum\":"
+        << F6(life.PhaseSum()) << ",\"profile_wall\":"
+        << F6(life.profile_wall_seconds) << "}\n";
   }
 }
 
-void WriteJourneysChromeTrace(const std::vector<Journey>& journeys,
+void AppendJourneyChromeTrace(const Journey& journey, bool* first,
                               std::ostream& out) {
-  out << "[\n";
-  bool first = true;
-  for (const Journey& journey : journeys) {
-    for (const JourneyLife& life : journey.lives) {
-      const double end = life.end >= 0.0 ? life.end : life.start;
-      if (!first) out << ",\n";
-      first = false;
-      // One slice per life; Chrome trace wants microseconds.
-      out << "{\"ph\":\"X\",\"pid\":" << life.shard << ",\"tid\":"
-          << journey.id << ",\"ts\":" << F6(life.start * 1e6) << ",\"dur\":"
-          << F6((end - life.start) * 1e6) << ",\"name\":\"q" << journey.query
-          << " life" << life.index << " " << life.outcome << "\",\"cat\":\""
-          << RouteCauseToString(life.cause) << "\"}";
-      if (life.parent >= 0) {
-        const JourneyLife& parent =
-            journey.lives[static_cast<size_t>(life.parent)];
-        // Flow edge parent -> child, named by the routing cause. Ids must
-        // be unique per edge: journey id and child life index are.
-        const uint64_t flow = journey.id * 1000 +
-                              static_cast<uint64_t>(life.index);
-        out << ",\n{\"ph\":\"s\",\"pid\":" << parent.shard << ",\"tid\":"
-            << journey.id << ",\"ts\":" << F6(parent.start * 1e6)
-            << ",\"id\":" << flow << ",\"name\":\""
-            << RouteCauseToString(life.cause) << "\",\"cat\":\"journey\"}";
-        out << ",\n{\"ph\":\"f\",\"bp\":\"e\",\"pid\":" << life.shard
-            << ",\"tid\":" << journey.id << ",\"ts\":" << F6(life.start * 1e6)
-            << ",\"id\":" << flow << ",\"name\":\""
-            << RouteCauseToString(life.cause) << "\",\"cat\":\"journey\"}";
-      }
+  for (const JourneyLife& life : journey.lives) {
+    const double end = life.end >= 0.0 ? life.end : life.start;
+    if (!*first) out << ",\n";
+    *first = false;
+    // One slice per life; Chrome trace wants microseconds.
+    out << "{\"ph\":\"X\",\"pid\":" << life.shard << ",\"tid\":"
+        << journey.id << ",\"ts\":" << F6(life.start * 1e6) << ",\"dur\":"
+        << F6((end - life.start) * 1e6) << ",\"name\":\"q" << journey.query
+        << " life" << life.index << " " << life.outcome << "\",\"cat\":\""
+        << RouteCauseToString(life.cause) << "\"}";
+    if (life.parent >= 0) {
+      const JourneyLife& parent =
+          journey.lives[static_cast<size_t>(life.parent)];
+      // Flow edge parent -> child, named by the routing cause. Ids must
+      // be unique per edge: journey id and child life index are.
+      const uint64_t flow = journey.id * 1000 +
+                            static_cast<uint64_t>(life.index);
+      out << ",\n{\"ph\":\"s\",\"pid\":" << parent.shard << ",\"tid\":"
+          << journey.id << ",\"ts\":" << F6(parent.start * 1e6)
+          << ",\"id\":" << flow << ",\"name\":\""
+          << RouteCauseToString(life.cause) << "\",\"cat\":\"journey\"}";
+      out << ",\n{\"ph\":\"f\",\"bp\":\"e\",\"pid\":" << life.shard
+          << ",\"tid\":" << journey.id << ",\"ts\":" << F6(life.start * 1e6)
+          << ",\"id\":" << flow << ",\"name\":\""
+          << RouteCauseToString(life.cause) << "\",\"cat\":\"journey\"}";
     }
   }
-  out << "\n]\n";
 }
 
 std::string FormatJourneyAscii(const Journey& journey, int width) {

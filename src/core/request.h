@@ -1,6 +1,7 @@
 #ifndef WLM_CORE_REQUEST_H_
 #define WLM_CORE_REQUEST_H_
 
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -54,6 +55,8 @@ struct Request {
   Plan plan;
 
   double arrival_time = 0.0;
+  /// Position in its manager's submission order (0 = first submitted).
+  uint64_t submit_seq = 0;
   std::string workload;  // assigned workload name
   BusinessPriority priority = BusinessPriority::kMedium;
   ResourceShares shares;

@@ -83,17 +83,21 @@ Status WorkloadManager::Submit(QuerySpec spec) {
 }
 
 Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
-  if (requests_.count(spec.id) > 0) {
-    return Status::AlreadyExists("request id already submitted");
-  }
   if (IsSyntheticQueryId(spec.id)) {
     return Status::InvalidArgument(
         "query id collides with the reserved synthetic-track block");
   }
+  uint64_t& accepted = accepted_ids_[spec.id / 64];
+  const uint64_t bit = uint64_t{1} << (spec.id % 64);
+  if ((accepted & bit) != 0) {
+    return Status::AlreadyExists("request id already submitted");
+  }
+  accepted |= bit;
   auto request = std::make_unique<Request>();
   request->spec = std::move(spec);
   request->plan = std::move(plan);
   request->arrival_time = sim_->Now();
+  request->submit_seq = next_submit_seq_++;
 
   // 1. Identification (workload characterization).
   std::string workload_name = config_.default_workload;
@@ -114,7 +118,6 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
 
   Request* raw = request.get();
   requests_[raw->spec.id] = std::move(request);
-  submission_order_.push_back(raw->spec.id);
   LogEvent(WlmEventType::kSubmitted, *raw);
   telemetry_->OnSubmit(raw->spec.id, raw->workload, raw->spec.kind,
                        raw->spec.journey);
@@ -131,7 +134,7 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
       telemetry_->OnRejected(raw->spec.id, raw->workload, ac->info().name,
                              decision.message());
       RecordPhaseSamples(*raw);
-      for (const auto& fn : completion_listeners_) fn(*raw);
+      NotifyTerminal(*raw);
       return Status::Rejected(decision.message());
     }
   }
@@ -192,7 +195,7 @@ void WorkloadManager::ShedRequest(Request* request,
   if (overload_) overload_->CountShed();
   LogEvent(WlmEventType::kShed, *request, reason);
   telemetry_->OnShed(request->spec.id, request->workload, reason);
-  for (const auto& fn : completion_listeners_) fn(*request);
+  NotifyTerminal(*request);
 }
 
 void WorkloadManager::RollWaitSegment(Request* request, double now) {
@@ -454,7 +457,20 @@ void WorkloadManager::FinishTerminal(Request* request, RequestState state,
         (request->HasDeadline() && request->finish_time > request->deadline);
     overload_->RecordOutcome(request->workload, sim_->Now(), violated);
   }
-  for (const auto& fn : completion_listeners_) fn(*request);
+  NotifyTerminal(*request);
+}
+
+void WorkloadManager::NotifyTerminal(const Request& request) {
+  for (const auto& fn : completion_listeners_) fn(request);
+  // Only the oldest retired entry is ever evicted, and a request joins
+  // the window only after its listeners returned: a listener that ends
+  // other requests (nested terminals retire first) cannot free the one
+  // it was handed, nor any newer one a caller still holds.
+  retired_.push_back(request.spec.id);
+  while (retired_.size() > config_.retained_requests_capacity) {
+    requests_.erase(retired_.front());
+    retired_.pop_front();
+  }
 }
 
 void WorkloadManager::AddCompletionListener(
@@ -593,10 +609,11 @@ const WorkloadCounters& WorkloadManager::counters(
 
 std::vector<const Request*> WorkloadManager::AllRequests() const {
   std::vector<const Request*> out;
-  out.reserve(submission_order_.size());
-  for (QueryId id : submission_order_) {
-    out.push_back(requests_.at(id).get());
-  }
+  out.reserve(requests_.size());
+  for (const auto& [id, request] : requests_) out.push_back(request.get());
+  std::sort(out.begin(), out.end(), [](const Request* a, const Request* b) {
+    return a->submit_seq < b->submit_seq;
+  });
   return out;
 }
 

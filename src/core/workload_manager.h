@@ -1,6 +1,8 @@
 #ifndef WLM_CORE_WORKLOAD_MANAGER_H_
 #define WLM_CORE_WORKLOAD_MANAGER_H_
 
+#include <cstddef>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -70,6 +72,11 @@ struct WlmConfig {
   /// Overload protection: queue capacities + CoDel shedding, retry
   /// budgets, circuit breakers, brownout. Off by default.
   OverloadOptions overload;
+  /// Terminal requests (completed, killed, aborted, rejected, shed) kept
+  /// for Find()/AllRequests() after their completion listeners ran: the
+  /// newest N, oldest evicted first. 0 keeps none. Duplicate-id rejection
+  /// does not depend on it.
+  size_t retained_requests_capacity = 8192;
 };
 
 /// The workload-management framework: wires characterization, admission
@@ -114,7 +121,8 @@ class WorkloadManager : public FaultSink {
   [[nodiscard]] Status SubmitWithPlan(QuerySpec spec, Plan plan);
 
   /// Observer fired whenever a request reaches a terminal state
-  /// (completed / killed / aborted / rejected).
+  /// (completed / killed / aborted / rejected / shed). The request is
+  /// retired into the retention window only after every listener ran.
   void AddCompletionListener(std::function<void(const Request&)> fn);
 
   /// Re-evaluates the queue against the scheduler and dispatch gates.
@@ -127,6 +135,10 @@ class WorkloadManager : public FaultSink {
   Monitor* monitor() const { return monitor_; }
   const WlmConfig& config() const { return config_; }
 
+  /// A live request or one still in the terminal retention window;
+  /// nullptr for unknown ids and for requests evicted from the window.
+  /// A terminal request's pointer stays valid until it is evicted (at
+  /// retained_requests_capacity 0: as soon as its listeners return).
   const Request* Find(QueryId id) const;
   std::vector<const Request*> Queued() const;
   /// Currently running requests, ordered by query id.
@@ -136,7 +148,8 @@ class WorkloadManager : public FaultSink {
   int RunningInWorkload(const std::string& name) const;
   int QueuedInWorkload(const std::string& name) const;
   const WorkloadCounters& counters(const std::string& workload) const;
-  /// Every request ever submitted, in submission order.
+  /// The live requests plus the retained terminal ones (at most
+  /// config().retained_requests_capacity), in submission order.
   std::vector<const Request*> AllRequests() const;
 
   /// Control-plane event history (the library's "event monitors"):
@@ -218,6 +231,9 @@ class WorkloadManager : public FaultSink {
   void Requeue(Request* request);
   void FinishTerminal(Request* request, RequestState state,
                       const QueryOutcome& outcome);
+  /// Runs the completion listeners of a request that just reached its
+  /// terminal state, then retires it into the retention window.
+  void NotifyTerminal(const Request& request);
   void LogFaultEvent(WlmEventType type, const std::string& kind,
                      std::string detail);
   /// Schedules the backoff-delayed requeue of a fault-aborted request.
@@ -260,8 +276,17 @@ class WorkloadManager : public FaultSink {
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<std::unique_ptr<ExecutionController>> execution_;
 
+  /// Live requests plus the retained terminal window.
   std::unordered_map<QueryId, std::unique_ptr<Request>> requests_;
-  std::vector<QueryId> submission_order_;
+  /// Every id Submit ever accepted, so duplicates stay rejected after the
+  /// request is evicted: a bitmap of 64-id words keyed by id / 64. Ids
+  /// mostly come in dense runs, so a query costs about a bit plus its
+  /// share of one hash entry; a sparse id costs one hash entry.
+  std::unordered_map<QueryId, uint64_t> accepted_ids_;
+  uint64_t next_submit_seq_ = 0;  // the next Request::submit_seq
+  /// Retired terminal requests, oldest first; at most
+  /// config_.retained_requests_capacity.
+  std::deque<QueryId> retired_;
   // Waiting requests in arrival order. Bounded by
   // OverloadOptions::codel.queue_capacity when overload protection is
   // enabled; the seed's unbounded behavior is kept when it is off.

@@ -15,7 +15,9 @@ namespace wlm {
 /// last evicted node is re-keyed to `key` and reused, so the steady state
 /// allocates nothing: `reset` must return its value to the default state
 /// (keeping whatever buffer capacity it likes). Without an eviction the
-/// value is default-constructed. `key` must not already be present.
+/// value is default-constructed. `key` must not already be present. The
+/// insert is hinted at end(), so an ordered map whose keys only grow
+/// (JourneyLog's journey ids) inserts in amortized constant time.
 template <typename Map, typename Reset>
 typename Map::mapped_type& EmplaceRecycled(
     Map& map, std::deque<typename Map::key_type>& finished_order, size_t cap,
@@ -26,10 +28,10 @@ typename Map::mapped_type& EmplaceRecycled(
     finished_order.pop_front();
     ++evicted;
   }
-  if (node.empty()) return map.try_emplace(key).first->second;
+  if (node.empty()) return map.try_emplace(map.end(), key)->second;
   node.key() = key;
   reset(node.mapped());
-  return map.insert(std::move(node)).position->second;
+  return map.insert(map.end(), std::move(node))->second;
 }
 
 }  // namespace wlm

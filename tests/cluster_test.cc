@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -162,6 +163,35 @@ TEST(ClusterDispatcherTest, RoutesAcrossShardsAndCountsThem) {
         cluster.shard(s).wlm().event_log().CountOf(WlmEventType::kCompleted));
   }
   EXPECT_EQ(completed, 6);
+}
+
+TEST(ClusterDispatcherTest, RouteLogKeepsTheNewestDecisions) {
+  Simulation sim;
+  ClusterDispatcher cluster(&sim, TestClusterOptions(2),
+                            [](int, WorkloadManager& m) {
+                              DefineTestWorkloads(m);
+                            });
+  // Spaced arrivals of cheap queries: each is placed on its first pick,
+  // so every query adds exactly one decision.
+  const QueryId total = static_cast<QueryId>(kRouteLogCapacity) + 4;
+  for (QueryId id = 1; id <= total; ++id) {
+    sim.RunUntil(0.02 * static_cast<double>(id));
+    ASSERT_TRUE(cluster.Submit(OltpSpec(id)).ok());
+  }
+  sim.RunUntil(0.02 * static_cast<double>(total) + 5.0);
+  EXPECT_EQ(cluster.routed_total(), static_cast<int64_t>(total));
+  ASSERT_EQ(cluster.route_log().size(), kRouteLogCapacity);
+  // The newest decisions, oldest first: queries 5..total in order.
+  QueryId expected = 5;
+  for (const auto& decision : cluster.route_log()) {
+    ASSERT_EQ(decision.query, expected);
+    ++expected;
+  }
+  const std::string text = cluster.FormatRouteLog();
+  EXPECT_EQ(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')),
+            kRouteLogCapacity);
+  EXPECT_EQ(text.find("q=4 "), std::string::npos);
+  EXPECT_EQ(text.find("q=5 "), text.find(" q=") + 1);  // the first line
 }
 
 TEST(ClusterDispatcherTest, FailsOverWhenOneShardRefuses) {
@@ -473,6 +503,33 @@ TEST(ClusterHealthTest, BlackholedArrivalsDrainOnceDetected) {
   EXPECT_EQ(cluster.shard(1).wlm().event_log().CountOf(WlmEventType::kCompleted),
             4);
   EXPECT_EQ(cluster.orphans_lost(), 0);
+}
+
+TEST(ClusterHealthTest, StrandedOrphanKeepsItsJourneyInAFullLog) {
+  Simulation sim;
+  ClusterOptions options = HealthClusterOptions(2);
+  options.observability.max_journeys = 1;
+  ClusterDispatcher cluster(&sim, options, [](int, WorkloadManager& m) {
+    DefineTestWorkloads(m);
+  });
+  sim.RunUntil(1.0);
+  cluster.CrashShard(0);
+  ASSERT_TRUE(cluster.Submit(OltpSpec(1)).ok());
+  ASSERT_EQ(cluster.shard(0).blackholed(), 1);
+  // Query 1's only life is closed, but its orphan awaits a drain: the
+  // next arrival finds no completed journey to evict and goes untracked.
+  ASSERT_TRUE(cluster.Submit(OltpSpec(2)).ok());
+  EXPECT_EQ(cluster.journeys().dropped(), 1);
+  EXPECT_EQ(cluster.journeys().Find(2), nullptr);
+  sim.RunUntil(20.0);
+  // The drain's second life joins the retained journey.
+  const Journey* journey = cluster.journeys().Find(1);
+  ASSERT_NE(journey, nullptr);
+  ASSERT_EQ(journey->lives.size(), 2u);
+  EXPECT_EQ(journey->lives[0].outcome, "blackholed");
+  EXPECT_EQ(journey->lives[1].cause, RouteCause::kCrashDrain);
+  EXPECT_EQ(journey->lives[1].parent, 0);
+  EXPECT_EQ(journey->lives[1].outcome, "completed");
 }
 
 TEST(ClusterHealthTest, UndefendedCrashLosesBlackholedQueriesForever) {

@@ -3,6 +3,12 @@
 #include <memory>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "admission/threshold_admission.h"
 #include "characterization/static_classifier.h"
@@ -11,6 +17,7 @@
 #include "core/taxonomy.h"
 #include "core/workload_manager.h"
 #include "scheduling/queue_schedulers.h"
+#include "telemetry/exporters.h"
 #include "tests/wlm_test_util.h"
 
 namespace wlm {
@@ -171,6 +178,20 @@ TEST(WorkloadManagerTest, DuplicateIdRejected) {
   TestRig rig;
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1)).ok());
   EXPECT_EQ(rig.wlm.Submit(BiSpec(1)).code(), StatusCode::kAlreadyExists);
+
+  // An id retired out of the retention window stays taken.
+  WlmConfig config;
+  config.retained_requests_capacity = 1;
+  TestRig small(TestEngineConfig(), 0.5, config);
+  ASSERT_TRUE(small.wlm.Submit(BiSpec(1, 0.1, 10.0, 4.0)).ok());
+  ASSERT_TRUE(small.wlm.Submit(BiSpec(2, 1.0, 10.0, 4.0)).ok());
+  small.sim.RunUntil(30.0);
+  ASSERT_EQ(small.wlm.counters("default").completed, 2);
+  EXPECT_EQ(small.wlm.Find(1), nullptr);  // 2 finished last and evicted 1
+  ASSERT_NE(small.wlm.Find(2), nullptr);
+  EXPECT_EQ(small.wlm.Submit(BiSpec(1)).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(small.wlm.Submit(BiSpec(2)).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(small.wlm.counters("default").submitted, 2);
 }
 
 TEST(WorkloadManagerTest, ClassifierAssignsWorkloadAndShares) {
@@ -368,6 +389,256 @@ TEST(WorkloadManagerTest, AllRequestsInSubmissionOrder) {
   EXPECT_EQ(all[0]->spec.id, 5u);
   EXPECT_EQ(all[1]->spec.id, 3u);
   EXPECT_EQ(all[2]->spec.id, 9u);
+}
+
+TEST(WorkloadManagerTest, RetentionWindowKeepsNewestTerminalRequests) {
+  WlmConfig config;
+  config.retained_requests_capacity = 3;
+  TestRig rig(TestEngineConfig(), 0.5, config);
+  rig.wlm.set_scheduler(std::make_unique<FifoScheduler>(3));
+  QueryCostAdmission::Config cost;
+  cost.max_est_seconds = 2.0;
+  rig.wlm.AddAdmissionController(std::make_unique<QueryCostAdmission>(cost));
+
+  std::map<QueryId, int> fired;
+  std::vector<QueryId> terminal_order;
+  rig.wlm.AddCompletionListener([&](const Request& r) {
+    ++fired[r.spec.id];
+    terminal_order.push_back(r.spec.id);
+    // Still findable while its listeners run.
+    EXPECT_EQ(rig.wlm.Find(r.spec.id), &r);
+  });
+  auto check = [&] {
+    const size_t live = rig.wlm.queue_depth() + rig.wlm.running_count();
+    const std::vector<const Request*> all = rig.wlm.AllRequests();
+    EXPECT_LE(all.size(), 3 + live);
+    for (size_t i = 1; i < all.size(); ++i) {
+      EXPECT_LT(all[i - 1]->spec.id, all[i]->spec.id);  // submission order
+    }
+    const size_t keep = std::min<size_t>(3, terminal_order.size());
+    const std::set<QueryId> retained(terminal_order.end() - keep,
+                                     terminal_order.end());
+    for (QueryId id = 1; id <= 50; ++id) {
+      const Request* r = rig.wlm.Find(id);
+      if (fired.count(id) == 0) {
+        // Not yet submitted, or live: live requests are always found.
+        if (r != nullptr) {
+          EXPECT_FALSE(r->terminal());
+        }
+      } else if (retained.count(id) != 0) {
+        EXPECT_NE(r, nullptr) << id;
+      } else {
+        EXPECT_EQ(r, nullptr) << id;
+      }
+    }
+    size_t terminal_found = 0;
+    for (const Request* r : all) terminal_found += r->terminal();
+    EXPECT_EQ(terminal_found, keep);
+  };
+  for (QueryId id = 1; id <= 50; ++id) {
+    // Every seventh query is too expensive and is rejected at arrival.
+    const double cpu = id % 7 == 0 ? 20.0 : 0.05 + 0.03 * (id % 5);
+    rig.sim.ScheduleAt(0.05 * id, [&rig, id, cpu] {
+      (void)rig.wlm.Submit(BiSpec(id, cpu, 20.0, 4.0));
+    });
+    rig.sim.ScheduleAt(0.05 * id + 0.025, check);
+  }
+  rig.sim.RunUntil(60.0);
+  check();
+  EXPECT_EQ(rig.wlm.queue_depth() + rig.wlm.running_count(), 0u);
+  EXPECT_EQ(rig.wlm.AllRequests().size(), 3u);
+  EXPECT_EQ(rig.wlm.counters("default").rejected, 7);
+  ASSERT_EQ(fired.size(), 50u);
+  for (const auto& [id, count] : fired) EXPECT_EQ(count, 1) << id;
+}
+
+TEST(WorkloadManagerTest, RetentionCapacityZeroKeepsNoTerminalRequest) {
+  WlmConfig config;
+  config.retained_requests_capacity = 0;
+  TestRig rig(TestEngineConfig(), 0.5, config);
+  int fired = 0;
+  rig.wlm.AddCompletionListener([&](const Request& r) {
+    ++fired;
+    EXPECT_EQ(rig.wlm.Find(r.spec.id), &r);
+  });
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 0.1, 10.0, 4.0)).ok());
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(2, 5.0, 10.0, 4.0)).ok());
+  rig.sim.RunUntil(1.0);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(rig.wlm.Find(1), nullptr);
+  ASSERT_EQ(rig.wlm.AllRequests().size(), 1u);
+  EXPECT_EQ(rig.wlm.AllRequests()[0]->spec.id, 2u);
+  rig.sim.RunUntil(30.0);
+  EXPECT_EQ(fired, 2);
+  EXPECT_TRUE(rig.wlm.AllRequests().empty());
+  EXPECT_EQ(rig.wlm.Submit(BiSpec(1)).code(), StatusCode::kAlreadyExists);
+}
+
+/// The comparable surfaces of one RunRetentionScenario.
+struct RetentionRun {
+  /// Terminal kinds summed over workloads: completed, rejected, killed,
+  /// aborted, shed.
+  std::map<std::string, int64_t> totals;
+  std::string counters;
+  std::string events;
+  std::string prometheus;
+  std::string transcript;
+};
+
+/// OLTP on a few hot keys + BI over capacity through a cost gate, an
+/// MPL-8 FIFO and CoDel shedding, with a periodic kill (alternately
+/// resubmitted) and deadlock victims aborted: every terminal kind.
+RetentionRun RunRetentionScenario(size_t capacity) {
+  WlmConfig config;
+  config.retained_requests_capacity = capacity;
+  config.resubmit_deadlock_victims = false;
+  config.overload.enabled = true;
+  config.overload.codel.queue_capacity = 40;
+  TestRig rig(TestEngineConfig(), 0.5, config);
+  WorkloadDefinition oltp;
+  oltp.name = "oltp";
+  oltp.priority = BusinessPriority::kHigh;
+  rig.wlm.DefineWorkload(oltp);
+  WorkloadDefinition bi;
+  bi.name = "bi";
+  bi.priority = BusinessPriority::kLow;
+  rig.wlm.DefineWorkload(bi);
+  auto classifier = std::make_unique<StaticClassifier>();
+  ClassificationRule oltp_rule;
+  oltp_rule.workload = "oltp";
+  oltp_rule.application = "pos-system";
+  classifier->AddRule(oltp_rule);
+  ClassificationRule bi_rule;
+  bi_rule.workload = "bi";
+  bi_rule.application = "reporting";
+  classifier->AddRule(bi_rule);
+  rig.wlm.set_classifier(std::move(classifier));
+  rig.wlm.set_scheduler(std::make_unique<FifoScheduler>(8));
+  QueryCostAdmission::Config cost;
+  cost.max_est_seconds = 6.0;
+  rig.wlm.AddAdmissionController(std::make_unique<QueryCostAdmission>(cost));
+
+  RetentionRun run;
+  rig.wlm.AddCompletionListener([&](const Request& r) {
+    char line[128];
+    std::snprintf(line, sizeof(line), "%llu %s %.9f %d\n",
+                  static_cast<unsigned long long>(r.spec.id),
+                  RequestStateToString(r.state), r.finish_time, r.resubmits);
+    run.transcript += line;
+  });
+  int kills = 0;
+  std::function<void()> kill_oldest = [&] {
+    std::vector<const Request*> running = rig.wlm.Running();
+    if (!running.empty()) {
+      (void)rig.wlm.KillRequest(running.front()->spec.id, ++kills % 2 == 0);
+    }
+    rig.sim.Schedule(1.5, kill_oldest);
+  };
+  rig.sim.Schedule(1.5, kill_oldest);
+  // Every 4 s a blocker holds two fresh keys that a crossed pair then
+  // takes in opposite orders: one deadlock victim per round.
+  for (int round = 0; round < 8; ++round) {
+    const LockKey k1 = 100000 + 2 * static_cast<LockKey>(round);
+    const QueryId id = 900000 + 3 * static_cast<QueryId>(round);
+    rig.sim.ScheduleAt(4.0 * round + 0.5, [&rig, k1, id] {
+      QuerySpec blocker = OltpSpec(id);
+      blocker.cpu_seconds = 0.3;
+      blocker.locks = {{k1, true}, {k1 + 1, true}};
+      QuerySpec a = OltpSpec(id + 1);
+      a.cpu_seconds = 0.5;
+      a.locks = {{k1, true}, {k1 + 1, true}};
+      QuerySpec b = OltpSpec(id + 2);
+      b.cpu_seconds = 0.5;
+      b.locks = {{k1 + 1, true}, {k1, true}};
+      for (const QuerySpec& spec : {blocker, a, b}) (void)rig.wlm.Submit(spec);
+    });
+  }
+
+  WorkloadGenerator gen(7);
+  Rng arrivals(7);
+  OltpWorkloadConfig oltp_shape;
+  oltp_shape.key_space = 20;
+  oltp_shape.locks_per_txn = 6;
+  BiWorkloadConfig bi_shape;
+  auto submit = [&](QuerySpec spec) { (void)rig.wlm.Submit(std::move(spec)); };
+  OpenLoopDriver oltp_driver(&rig.sim, &arrivals, 60.0,
+                             [&] { return gen.NextOltp(oltp_shape); }, submit);
+  OpenLoopDriver bi_driver(&rig.sim, &arrivals, 1.5,
+                           [&] { return gen.NextBi(bi_shape); }, submit);
+  oltp_driver.Start(40.0);
+  bi_driver.Start(40.0);
+  rig.sim.RunUntil(40.0);
+  rig.sim.RunUntil(400.0);  // the kill loop keeps the queue draining
+
+  for (const auto& [name, def] : rig.wlm.workloads()) {
+    const WorkloadCounters& c = rig.wlm.counters(name);
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "%s submitted=%lld rejected=%lld completed=%lld killed=%lld "
+                  "aborted=%lld resubmitted=%lld shed=%lld\n",
+                  name.c_str(), static_cast<long long>(c.submitted),
+                  static_cast<long long>(c.rejected),
+                  static_cast<long long>(c.completed),
+                  static_cast<long long>(c.killed),
+                  static_cast<long long>(c.aborted),
+                  static_cast<long long>(c.resubmitted),
+                  static_cast<long long>(c.shed));
+    run.counters += line;
+    run.totals["completed"] += c.completed;
+    run.totals["rejected"] += c.rejected;
+    run.totals["killed"] += c.killed;
+    run.totals["aborted"] += c.aborted;
+    run.totals["shed"] += c.shed;
+  }
+  std::ostringstream events;
+  WriteEventLogJsonl(rig.wlm.event_log(), events);
+  run.events = events.str();
+  std::ostringstream prometheus;
+  WritePrometheus(rig.wlm.telemetry().metrics(), prometheus);
+  run.prometheus = prometheus.str();
+  EXPECT_LE(rig.wlm.AllRequests().size(), capacity);
+  return run;
+}
+
+TEST(WorkloadManagerTest, RetentionCapacityChangesNoOutcome) {
+  const RetentionRun small = RunRetentionScenario(8);
+  const RetentionRun large = RunRetentionScenario(1 << 20);
+  EXPECT_EQ(small.counters, large.counters);
+  EXPECT_EQ(small.events, large.events);
+  EXPECT_EQ(small.prometheus, large.prometheus);
+  EXPECT_EQ(small.transcript, large.transcript);
+  // The scenario reaches every terminal kind.
+  for (const auto& [kind, total] : large.totals) {
+    EXPECT_GT(total, 0) << kind << "\n" << large.counters;
+  }
+}
+
+TEST(WorkloadManagerTest, RetainedRequestsPlateauInASoak) {
+  TestRig rig;  // default retained_requests_capacity
+  // A query that outlives the soak stays listed first throughout.
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 1e6, 10.0, 4.0)).ok());
+  WorkloadGenerator gen(11, /*first_id=*/2);
+  OltpWorkloadConfig shape;
+  shape.locks_per_txn = 0;
+  shape.mean_cpu_seconds = 0.002;
+  shape.mean_io_ops = 1.0;
+  QueryId submitted = 0;
+  auto soak_to = [&](QueryId total) {
+    // 400 q/s, well inside the engine's capacity.
+    while (submitted < total) {
+      ASSERT_TRUE(rig.wlm.Submit(gen.NextOltp(shape)).ok());
+      if (++submitted % 4 == 0) rig.sim.RunUntil(rig.sim.Now() + 0.01);
+    }
+    rig.sim.RunUntil(rig.sim.Now() + 5.0);
+    ASSERT_EQ(rig.wlm.queue_depth(), 0u);
+    ASSERT_EQ(rig.wlm.running_count(), 1u);
+  };
+  soak_to(20000);
+  const size_t after_20k = rig.wlm.AllRequests().size();
+  soak_to(60000);
+  EXPECT_EQ(rig.wlm.AllRequests().size(), after_20k);
+  EXPECT_EQ(after_20k, WlmConfig().retained_requests_capacity + 1);
+  EXPECT_EQ(rig.wlm.AllRequests().front()->spec.id, 1u);
 }
 
 // ------------------------------------------------------------ EventLog

@@ -324,11 +324,110 @@ TEST(JourneyLogTest, BoundedDropNew) {
   wlm::JourneyLog log(2);
   EXPECT_NE(log.Begin(1, "a", 0.0), 0u);
   EXPECT_NE(log.Begin(2, "b", 0.0), 0u);
-  EXPECT_EQ(log.Begin(3, "c", 0.0), 0u);  // full: dropped, not evicted
+  EXPECT_EQ(log.Begin(3, "c", 0.0), 0u);  // full, none completed: dropped
   EXPECT_EQ(log.dropped(), 1);
   EXPECT_EQ(log.journeys().size(), 2u);
   // Re-submitting a known query reuses its journey instead of dropping.
-  EXPECT_EQ(log.Begin(1, "a", 1.0), log.journeys()[0].id);
+  EXPECT_EQ(log.Begin(1, "a", 1.0), log.journeys().front().id);
+}
+
+// Begins `query`'s journey with one life on shard 0 and ends the
+// placement pass, as ClusterDispatcher::Submit does.
+void Place(wlm::JourneyLog& log, wlm::QueryId query) {
+  ASSERT_NE(log.Begin(query, "oltp", 0.0), 0u);
+  log.OpenLife(query, 0, wlm::RouteCause::kPlace, 0, false, 0.0, -1);
+  log.Release(query);
+}
+
+TEST(JourneyLogTest, FullLogEvictsTheOldestCompletedJourney) {
+  wlm::JourneyLog log(3);
+  for (wlm::QueryId q = 1; q <= 3; ++q) Place(log, q);
+  log.CloseLife(2, 0, 1.0, "completed");
+  log.MarkOutcome(1, 0, 2.0, "shed");  // closes 1's open life too
+  // 2 completed first, so it goes; the newest arrival is tracked.
+  const uint64_t fourth = log.Begin(4, "oltp", 3.0);
+  EXPECT_NE(fourth, 0u);
+  EXPECT_EQ(log.Find(2), nullptr);
+  ASSERT_NE(log.Find(4), nullptr);
+  EXPECT_EQ(log.Find(4)->id, fourth);
+  EXPECT_EQ(log.evicted(), 1);
+  EXPECT_EQ(log.dropped(), 0);
+  // Listing stays in begin order.
+  std::vector<wlm::QueryId> listed;
+  for (const wlm::Journey& journey : log.journeys()) {
+    listed.push_back(journey.query);
+  }
+  EXPECT_EQ(listed, (std::vector<wlm::QueryId>{1, 3, 4}));
+  // The evicted slot is reused clean.
+  EXPECT_TRUE(log.Find(4)->lives.empty());
+  EXPECT_EQ(log.Find(4)->workload, "oltp");
+}
+
+TEST(JourneyLogTest, FullLogNeverEvictsAJourneyWithAnOpenLife) {
+  wlm::JourneyLog log(2);
+  Place(log, 1);
+  Place(log, 2);
+  log.CloseLife(1, 0, 1.0, "shed");
+  // Journey 1 completed, then reopened by a re-dispatch: open again.
+  log.OpenLife(1, 1, wlm::RouteCause::kShed, 0, true, 1.5,
+               log.LatestLifeOnShard(1, 0));
+  EXPECT_EQ(log.Begin(3, "oltp", 2.0), 0u);  // every journey is open
+  EXPECT_EQ(log.dropped(), 1);
+  EXPECT_EQ(log.evicted(), 0);
+  ASSERT_NE(log.Find(1), nullptr);
+  EXPECT_EQ(log.Find(1)->lives.size(), 2u);
+  ASSERT_NE(log.Find(2), nullptr);
+  // Once its second life closes, journey 1 is the one to go.
+  log.CloseLife(1, 1, 3.0, "completed");
+  EXPECT_NE(log.Begin(4, "oltp", 4.0), 0u);
+  EXPECT_EQ(log.Find(1), nullptr);
+  ASSERT_NE(log.Find(2), nullptr);
+  EXPECT_EQ(log.Find(2)->OpenLives(), 1);
+  EXPECT_EQ(log.evicted(), 1);
+}
+
+TEST(JourneyLogTest, HeldJourneySurvivesTheGapBetweenLives) {
+  wlm::JourneyLog log(2);
+  Place(log, 1);
+  Place(log, 2);
+  // Query 1 is shed with a re-dispatch pending: no open life, but held.
+  log.Hold(1);
+  log.CloseLife(1, 0, 1.0, "shed");
+  log.CloseLife(2, 0, 2.0, "completed");
+  // 1 closed first, yet only 2 is completed: the arrival evicts 2.
+  ASSERT_NE(log.Begin(3, "oltp", 3.0), 0u);
+  EXPECT_EQ(log.Find(2), nullptr);
+  ASSERT_NE(log.Find(1), nullptr);
+  // Journey 3 is still mid-placement (Begin's hold) and 1 is held, so
+  // the log is full of journeys that may still live: arrivals drop.
+  EXPECT_EQ(log.Begin(4, "oltp", 3.5), 0u);
+  EXPECT_EQ(log.dropped(), 1);
+  // The re-dispatch lands: its life joins journey 1's story.
+  log.Release(1);
+  EXPECT_EQ(log.OpenLife(1, 1, wlm::RouteCause::kShed, 0, true, 4.0,
+                         log.LatestLifeOnShard(1, 0)),
+            1);
+  EXPECT_EQ(log.Find(1)->lives.size(), 2u);
+  EXPECT_EQ(log.Find(1)->lives[1].parent, 0);
+}
+
+TEST(JourneyLogTest, EvictionFollowsTheLatestCompletion) {
+  wlm::JourneyLog log(2);
+  Place(log, 1);
+  Place(log, 2);
+  log.CloseLife(1, 0, 1.0, "shed");
+  log.CloseLife(2, 0, 2.0, "completed");
+  // Journey 1 reopens and completes again after journey 2 did.
+  log.OpenLife(1, 1, wlm::RouteCause::kShed, 0, true, 3.0, 0);
+  log.CloseLife(1, 1, 4.0, "completed");
+  ASSERT_NE(log.Begin(3, "oltp", 5.0), 0u);
+  EXPECT_EQ(log.Find(2), nullptr);  // completed at 2.0, before 1's 4.0
+  ASSERT_NE(log.Find(1), nullptr);
+  log.Release(3);
+  ASSERT_NE(log.Begin(4, "oltp", 6.0), 0u);
+  EXPECT_EQ(log.Find(1), nullptr);
+  EXPECT_NE(log.Find(3), nullptr);  // life-less, but completed after 1
+  EXPECT_EQ(log.evicted(), 2);
 }
 
 TEST(JourneyLogTest, ExportersAreDeterministic) {
