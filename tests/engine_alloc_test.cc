@@ -1,7 +1,9 @@
-// Allocation guard for the engine tick: a steady population of running
-// queries must cost the same number of heap allocations per tick whatever
-// its size. This binary replaces the global operator new with a counting
-// one, so it is built as its own test executable.
+// Allocation guards for the engine's hot paths: a steady population of
+// running queries must cost the same number of heap allocations per tick
+// whatever its size, and the lock manager must stop allocating once its
+// tables have seen their high-water mark. This binary replaces the global
+// operator new with a counting one, so it is built as its own test
+// executable.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +12,9 @@
 #include <new>
 #include <string>
 
+#include "common/rng.h"
 #include "engine/engine.h"
+#include "engine/lock_manager.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -90,6 +94,78 @@ TEST(EngineAllocTest, TickAllocationsDoNotGrowWithActiveQueries) {
     // reschedule per tick plus the deadlock detector), not the tick.
     EXPECT_LT(at8, static_cast<size_t>(2 * kTicks));
   }
+}
+
+/// Heap allocations of `txns` sequential OLTP-shaped transactions after as
+/// many again of warm-up: each takes three Zipf-distributed keys, about
+/// half exclusively, reads its hold time and releases. Nothing contends.
+size_t UncontendedLockAllocations(int txns) {
+  LockManager lm;
+  double now = 0.0;
+  lm.set_time_source([&now] { return now; });
+  Rng rng(7);
+  TxnId next = 1;
+  size_t before = 0;
+  for (int i = 0; i < 2 * txns; ++i) {
+    if (i == txns) before = g_allocations;
+    const TxnId txn = next++;
+    for (int k = 0; k < 3; ++k) {
+      EXPECT_TRUE(lm.Acquire(txn, static_cast<LockKey>(rng.Zipf(2000, 0.8)),
+                             rng.Bernoulli(0.5) ? LockMode::kExclusive
+                                                : LockMode::kShared));
+    }
+    now += 0.001;
+    (void)lm.HeldSeconds(txn, now);
+    lm.ReleaseAll(txn);
+  }
+  EXPECT_EQ(lm.txn_count(), 0u);
+  return g_allocations - before;
+}
+
+TEST(EngineAllocTest, UncontendedLockingAllocatesNothingAfterWarmUp) {
+  EXPECT_EQ(UncontendedLockAllocations(1000), 0u);
+}
+
+/// Heap allocations of `txns` contended transactions after a warm-up long
+/// enough for every recycled buffer to reach its high-water capacity.
+/// Eight transactions are live at a time on six hot keys; each takes a
+/// shared lock, upgrades it, then takes one more key, stopping at the
+/// first queued request. Slots are released round-robin whether their
+/// transaction holds, waits or has finished, so the run mixes waits,
+/// upgrades (and their queue jumps) and cancelled waits.
+size_t ContendedLockAllocations(int txns) {
+  constexpr int kSlots = 8;
+  constexpr int kWarmUp = 100000;
+  LockManager lm;
+  double now = 0.0;
+  lm.set_time_source([&now] { return now; });
+  Rng rng(11);
+  TxnId slot_txn[kSlots] = {};
+  TxnId next = 1;
+  size_t before = 0;
+  for (int i = 0; i < kWarmUp + txns; ++i) {
+    if (i == kWarmUp) before = g_allocations;
+    TxnId& txn = slot_txn[i % kSlots];
+    lm.ReleaseAll(txn);
+    txn = next++;
+    const auto hot = static_cast<LockKey>(rng.UniformInt(1, 6));
+    const auto other = static_cast<LockKey>(rng.UniformInt(1, 6));
+    if (lm.Acquire(txn, hot, LockMode::kShared) &&
+        lm.Acquire(txn, hot, LockMode::kExclusive)) {
+      (void)lm.Acquire(txn, other, LockMode::kShared);
+    }
+    now += 0.001;
+    (void)lm.HeldSeconds(txn, now);
+  }
+  return g_allocations - before;
+}
+
+TEST(EngineAllocTest, ContendedLockingAllocationsDoNotGrowWithTransactions) {
+  const size_t at1k = ContendedLockAllocations(1000);
+  const size_t at10k = ContendedLockAllocations(10000);
+  std::cout << "contended lock allocations after 1k / 10k transactions: "
+            << at1k << " / " << at10k << "\n";
+  EXPECT_EQ(at1k, at10k);
 }
 
 }  // namespace
