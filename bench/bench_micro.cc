@@ -1,17 +1,21 @@
 // S6 — google-benchmark microbenchmarks of the substrate hot paths: the
 // simulation event queue, the lock manager, the optimizer, the ML
-// predictors, the monitor statistics, and an end-to-end simulated
+// predictors, the monitor statistics, per-query telemetry, and an
+// end-to-end simulated
 // queries-per-wall-second figure for the whole workload-management
 // pipeline.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "ml/decision_tree.h"
 #include "ml/knn.h"
 #include "scheduling/queue_schedulers.h"
+#include "telemetry/event_log.h"
+#include "telemetry/telemetry.h"
 
 namespace {
 
@@ -126,6 +130,56 @@ void BM_EngineTickWithQueries(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EngineTickWithQueries)->Arg(8)->Arg(64)->Arg(256);
+
+// One query's telemetry as the WorkloadManager drives it (submit, admit,
+// dispatch, run segment with lock wait, completion; every eighth query
+// throttled) plus its control-plane events, on a facade and event log
+// warmed past every default retention window. The retained counts are
+// published so a check can confirm the windows stayed full (population,
+// not timing).
+void BM_TelemetryQueryLifecycle(benchmark::State& state) {
+  Simulation sim;
+  EventLog log;
+  Telemetry telemetry(&sim, /*monitor=*/nullptr, &log);
+  const std::string workload = "oltp";
+  QueryOutcome outcome;
+  outcome.cpu_used = 0.004;
+  outcome.io_used = 12.0;
+  outcome.buffer_hit_ratio = 0.9;
+  outcome.lock_wait_seconds = 0.001;
+  outcome.phases.lock_wait_seconds = 0.001;
+  outcome.phases.cpu_run_seconds = 0.004;
+  outcome.phases.io_stall_seconds = 0.002;
+  QueryId id = 0;
+  auto lifecycle = [&] {
+    ++id;
+    sim.RunFor(0.01);
+    telemetry.OnSubmit(id, workload, QueryKind::kOltpTransaction);
+    log.Append(sim.Now(), WlmEventType::kSubmitted, id, workload);
+    telemetry.OnAdmitted(id, workload);
+    sim.RunFor(0.002);
+    log.Append(sim.Now(), WlmEventType::kDispatched, id, workload);
+    telemetry.OnDispatch(id, workload, /*resumed=*/false);
+    outcome.dispatch_time = sim.Now();
+    if (id % 8 == 0) telemetry.OnThrottle(id, workload, 0.5);
+    sim.RunFor(0.007);
+    log.Append(sim.Now(), WlmEventType::kCompleted, id, workload);
+    telemetry.OnRunSegment(id, workload, outcome);
+    telemetry.OnTerminal(id, workload, "completed", 0.009, 0.002, outcome);
+  };
+  // Three events per query: 24k queries fill the 64k-event window too.
+  for (int i = 0; i < 24000; ++i) lifecycle();
+  for (auto _ : state) {
+    lifecycle();
+    benchmark::DoNotOptimize(telemetry.tracer().size());
+  }
+  state.counters["traces"] = static_cast<double>(telemetry.tracer().size());
+  state.counters["profiles"] =
+      static_cast<double>(telemetry.profiles().size());
+  state.counters["events"] = static_cast<double>(log.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TelemetryQueryLifecycle);
 
 void BM_DecisionTreePredict(benchmark::State& state) {
   Dataset data({"a", "b", "c"});

@@ -135,8 +135,8 @@ int main() {
   // reserved id block above every real QueryId — count them separately
   // so "query threads" means queries.
   std::size_t query_traces = 0, synthetic_tracks = 0;
-  for (const QueryTrace* trace : telemetry.tracer().Traces()) {
-    if (IsSyntheticQueryId(trace->id)) {
+  for (const QueryTrace& trace : telemetry.tracer().Traces()) {
+    if (IsSyntheticQueryId(trace.id)) {
       ++synthetic_tracks;
     } else {
       ++query_traces;
@@ -156,9 +156,10 @@ int main() {
   // Outcome explainer: the latency decomposition's one-line verdict for
   // the slowest queries (the same line wlm_top and the flight recorder
   // print).
+  const std::vector<QueryProfile> profiles = telemetry.profiles().Profiles();
   std::vector<const QueryProfile*> slowest;
-  for (const QueryProfile* p : telemetry.profiles().Profiles()) {
-    if (p->terminal()) slowest.push_back(p);
+  for (const QueryProfile& p : profiles) {
+    if (p.terminal()) slowest.push_back(&p);
   }
   std::sort(slowest.begin(), slowest.end(),
             [](const QueryProfile* a, const QueryProfile* b) {

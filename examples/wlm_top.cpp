@@ -197,9 +197,10 @@ int main(int argc, char** argv) {
   }
 
   // --- top queries by wall time --------------------------------------------
+  const std::vector<QueryProfile> profiles = telemetry.profiles().Profiles();
   std::vector<const QueryProfile*> terminal;
-  for (const QueryProfile* p : telemetry.profiles().Profiles()) {
-    if (p->terminal()) terminal.push_back(p);
+  for (const QueryProfile& p : profiles) {
+    if (p.terminal()) terminal.push_back(&p);
   }
   std::sort(terminal.begin(), terminal.end(),
             [](const QueryProfile* a, const QueryProfile* b) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "common/stats.h"
@@ -61,8 +62,8 @@ bool ClusterShard::healthy() const {
 
 double ClusterShard::P99Seconds() const {
   Percentiles percentiles;
-  for (const QueryProfile* profile : wlm_.telemetry().profiles().Profiles()) {
-    if (profile->outcome == "completed") percentiles.Add(profile->WallSeconds());
+  for (const QueryProfile& profile : wlm_.telemetry().profiles().Profiles()) {
+    if (profile.outcome == "completed") percentiles.Add(profile.WallSeconds());
   }
   return percentiles.count() > 0 ? percentiles.Percentile(99.0) : 0.0;
 }
@@ -978,9 +979,9 @@ void ClusterDispatcher::StitchJourneys() {
   for (Journey& journey : journeys_.MutableJourneys()) {
     for (JourneyLife& life : journey.lives) {
       const ClusterShard& shard = *shards_[static_cast<size_t>(life.shard)];
-      const QueryProfile* profile =
+      const std::optional<QueryProfile> profile =
           shard.wlm().telemetry().profiles().Find(journey.query);
-      if (profile == nullptr || !profile->terminal()) continue;
+      if (!profile || !profile->terminal()) continue;
       // A life and its profile share the submit instant; the match
       // filters out lives on this shard that never reached its manager
       // (blackholed, duplicate-refused).

@@ -394,14 +394,9 @@ void WorkloadManager::DispatchRequest(Request* request) {
 }
 
 void WorkloadManager::LogEvent(WlmEventType type, const Request& request,
-                               std::string detail) {
-  WlmEvent event;
-  event.time = sim_->Now();
-  event.type = type;
-  event.query = request.spec.id;
-  event.workload = request.workload;
-  event.detail = std::move(detail);
-  event_log_.Append(std::move(event));
+                               std::string_view detail) {
+  event_log_.Append(sim_->Now(), type, request.spec.id, request.workload,
+                    detail);
 }
 
 void WorkloadManager::Requeue(Request* request) {

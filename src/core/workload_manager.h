@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -227,7 +228,7 @@ class WorkloadManager : public FaultSink {
   void OnFinish(const QueryOutcome& outcome);
   void DispatchRequest(Request* request);
   void LogEvent(WlmEventType type, const Request& request,
-                std::string detail = "");
+                std::string_view detail = {});
   void Requeue(Request* request);
   void FinishTerminal(Request* request, RequestState state,
                       const QueryOutcome& outcome);

@@ -4,12 +4,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "engine/types.h"
+#include "telemetry/bounded_store.h"
 
 namespace wlm {
 
@@ -49,7 +49,7 @@ inline constexpr size_t kWlmEventTypeCount = 24;
 
 const char* WlmEventTypeToString(WlmEventType type);
 
-/// One control-plane event.
+/// One control-plane event, as the read views return it.
 struct WlmEvent {
   double time = 0.0;
   WlmEventType type = WlmEventType::kSubmitted;
@@ -58,23 +58,32 @@ struct WlmEvent {
   std::string detail;
 };
 
-/// Bounded, append-only event log. Oldest events are evicted past
-/// `max_events` (the total count keeps counting). Per-type and per-query
-/// secondary indexes keep OfType/ForQuery/CountOf proportional to the
-/// result size instead of the retained window, and InWindow binary
-/// searches the (nondecreasing) event times. The per-query index is an
-/// intrusive chain through the retained events, so a new query costs one
-/// small map node rather than a container of its own.
+/// Bounded, append-only event log. The retained window is a ring of
+/// fixed-size records (interned workload id, type, query, time) overwritten
+/// in place; past `max_events` the oldest is evicted (the total count keeps
+/// counting). Details live in a side ring of recycled strings that only
+/// events with a detail touch. Per-type and per-query chains linked through
+/// the records keep OfType/ForQuery/CountOf proportional to the result
+/// size, and InWindow binary searches the (nondecreasing) event times.
+/// Capacity is reserved, not touched, at construction; once the window is
+/// full an append allocates nothing. The views build WlmEvents on each call.
 class EventLog {
  public:
   explicit EventLog(size_t max_events = 1 << 16);
 
   void Append(WlmEvent event);
+  /// The same append without building a WlmEvent: only `detail` is copied,
+  /// into a recycled side-ring string.
+  void Append(double time, WlmEventType type, QueryId query,
+              std::string_view workload, std::string_view detail = {});
   void Clear();
 
-  size_t size() const { return events_.size(); }
+  size_t size() const { return static_cast<size_t>(total_ - first_seq_); }
   int64_t total_appended() const { return total_; }
-  const std::deque<WlmEvent>& events() const { return events_; }
+  /// The retained window, oldest first.
+  std::vector<WlmEvent> events() const { return Recent(size()); }
+  /// The newest `count` retained events (all when fewer), oldest first.
+  std::vector<WlmEvent> Recent(size_t count) const;
 
   /// Events of one type, oldest first.
   std::vector<WlmEvent> OfType(WlmEventType type) const;
@@ -86,29 +95,53 @@ class EventLog {
   int64_t CountOf(WlmEventType type) const;
 
  private:
-  /// One query's events, linked oldest to newest through next_seq_.
-  struct QueryChain {
-    int64_t head = 0;
-    int64_t tail = 0;
-    size_t count = 0;
+  static constexpr uint32_t kNone = SlotIndex::kNone;
+
+  /// One retained event. Links are ring positions of the next retained
+  /// event of the same query / type (a link always points at a newer
+  /// event, which is evicted after its predecessor).
+  struct Record {
+    double time;
+    QueryId query;
+    uint32_t next_same_query;
+    uint32_t next_same_type;
+    uint32_t detail;  // side-ring position, or kNone
+    uint32_t workload;
+    WlmEventType type;
+  };
+  struct Chain {
+    uint32_t head = kNone;
+    uint32_t tail = kNone;
+    int64_t count = 0;
   };
 
-  size_t Slot(int64_t seq) const {
-    return static_cast<size_t>(seq - first_seq_);
+  /// Ring position `offset` events after the oldest retained one.
+  uint32_t PositionAt(size_t offset) const {
+    size_t pos = head_ + offset;
+    return static_cast<uint32_t>(pos >= max_events_ ? pos - max_events_
+                                                    : pos);
   }
-  const WlmEvent& AtSeq(int64_t seq) const { return events_[Slot(seq)]; }
+  uint32_t Next(uint32_t pos) const {
+    return pos + 1 == max_events_ ? 0 : pos + 1;
+  }
+  static void Link(Chain& chain, uint32_t pos, uint32_t Record::*next,
+                   std::vector<Record>& ring);
+  void EvictOldest();
+  WlmEvent Materialize(uint32_t pos) const;
 
   size_t max_events_;
   int64_t total_ = 0;      // sequence number of the next append
-  int64_t first_seq_ = 0;  // sequence number of events_.front()
-  std::deque<WlmEvent> events_;
-  // Parallel to events_: sequence number of the next retained event of the
-  // same query, or -1 for the newest.
-  std::deque<int64_t> next_seq_;
-  // Secondary indexes hold sequence numbers (append order == time order),
-  // so eviction only ever pops their fronts / advances chain heads.
-  std::array<std::deque<int64_t>, kWlmEventTypeCount> by_type_;
-  std::unordered_map<QueryId, QueryChain> by_query_;
+  int64_t first_seq_ = 0;  // sequence number of the oldest retained event
+  uint32_t head_ = 0;      // ring position of the oldest retained event
+  uint32_t next_pos_ = 0;  // ring position of the next append
+  std::vector<Record> ring_;
+  std::vector<std::string> details_;  // side ring, reused in place
+  uint32_t next_detail_ = 0;
+  std::array<Chain, kWlmEventTypeCount> by_type_;
+  SlotIndex query_index_;  // query id -> chain in query_chains_
+  std::vector<Chain> query_chains_;
+  std::vector<uint32_t> free_chains_;
+  NameTable workloads_;
 };
 
 }  // namespace wlm

@@ -72,16 +72,18 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out,
              R"({"name":"process_name","ph":"M","pid":2,"tid":0,)"
              R"("args":{"name":"wlm phases"}})");
 
-  for (const QueryTrace* trace : tracer.Traces()) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  R"({"name":"thread_name","ph":"M","pid":1,"tid":%d,)"
-                  R"("args":{"name":"q%llu [%s]"}})",
-                  trace->tid, static_cast<unsigned long long>(trace->id),
-                  JsonEscape(trace->workload).c_str());
-    WriteEvent(out, first, buf);
+  for (const QueryTrace& trace : tracer.Traces()) {
+    // Built as a string: a workload name has no length limit.
+    std::string row = R"({"name":"thread_name","ph":"M","pid":1,"tid":)";
+    row += std::to_string(trace.tid);
+    row += R"(,"args":{"name":"q)";
+    row += std::to_string(trace.id);
+    row += " [";
+    row += JsonEscape(trace.workload);
+    row += "]\"}}";
+    WriteEvent(out, first, row);
 
-    for (const Span& span : trace->spans) {
+    for (const Span& span : trace.spans) {
       const double end = span.open() ? span.start : span.end;
       // Phase tiles partition a segment; they can straddle throttle/pause
       // windows on the query's own track, so they render as a parallel
@@ -94,16 +96,16 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out,
         json += SpanKindToString(span.kind);
       }
       json += "\",\"cat\":\"";
-      json += JsonEscape(trace->workload);
+      json += JsonEscape(trace.workload);
       json += "\",\"ph\":\"X\",\"ts\":";
       json += std::to_string(ToMicros(span.start));
       json += ",\"dur\":";
       json += std::to_string(
           std::max(0LL, ToMicros(end) - ToMicros(span.start)));
       json += phase ? ",\"pid\":2,\"tid\":" : ",\"pid\":1,\"tid\":";
-      json += std::to_string(trace->tid);
+      json += std::to_string(trace.tid);
       json += ",\"args\":{\"query\":";
-      json += std::to_string(trace->id);
+      json += std::to_string(trace.id);
       if (!span.detail.empty()) {
         json += ",\"detail\":\"";
         json += JsonEscape(span.detail);
@@ -112,17 +114,17 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out,
       json += "}}";
       WriteEvent(out, first, json);
     }
-    for (const TraceInstant& instant : trace->instants) {
+    for (const TraceInstant& instant : trace.instants) {
       std::string json = "{\"name\":\"";
       json += JsonEscape(instant.name);
       json += "\",\"cat\":\"";
-      json += JsonEscape(trace->workload);
+      json += JsonEscape(trace.workload);
       json += "\",\"ph\":\"X\",\"ts\":";
       json += std::to_string(ToMicros(instant.time));
       json += ",\"dur\":0,\"pid\":1,\"tid\":";
-      json += std::to_string(trace->tid);
+      json += std::to_string(trace.tid);
       json += ",\"args\":{\"query\":";
-      json += std::to_string(trace->id);
+      json += std::to_string(trace.id);
       if (!instant.detail.empty()) {
         json += ",\"detail\":\"";
         json += JsonEscape(instant.detail);

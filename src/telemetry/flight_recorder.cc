@@ -1,6 +1,5 @@
 #include "telemetry/flight_recorder.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "telemetry/exporters.h"
@@ -47,13 +46,15 @@ FlightRecorder::FlightRecorder(Options options) : options_(options) {
 }
 
 void FlightRecorder::RecordProfile(const QueryProfile& profile) {
-  if (options_.max_profiles == 0) return;
-  if (ring_.size() < options_.max_profiles) {
-    ring_.push_back(profile);
-  } else {
-    ring_[ring_head_] = profile;
-    ring_head_ = (ring_head_ + 1) % options_.max_profiles;
-  }
+  if (QueryProfile* slot = NextProfile()) *slot = profile;
+}
+
+QueryProfile* FlightRecorder::NextProfile() {
+  if (options_.max_profiles == 0) return nullptr;
+  if (ring_.size() < options_.max_profiles) return &ring_.emplace_back();
+  QueryProfile* slot = &ring_[ring_head_];
+  ring_head_ = (ring_head_ + 1) % options_.max_profiles;
+  return slot;
 }
 
 std::vector<QueryProfile> FlightRecorder::recent_profiles() const {
@@ -81,12 +82,7 @@ void FlightRecorder::Trigger(const std::string& reason,
   dump.reason = reason;
   dump.state = state;
   dump.recent_profiles = recent_profiles();
-  if (log != nullptr) {
-    const std::deque<WlmEvent>& events = log->events();
-    size_t take = std::min(events.size(), options_.max_events);
-    dump.recent_events.assign(events.end() - static_cast<std::ptrdiff_t>(take),
-                              events.end());
-  }
+  if (log != nullptr) dump.recent_events = log->Recent(options_.max_events);
   postmortems_.push_back(std::move(dump));
 }
 

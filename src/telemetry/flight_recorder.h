@@ -65,6 +65,9 @@ class FlightRecorder {
 
   /// Feeds a finished profile into the ring (oldest evicted past bound).
   void RecordProfile(const QueryProfile& profile);
+  /// The ring entry the next finished profile is written into, in place
+  /// (its strings keep their capacity); nullptr when the ring is disabled.
+  QueryProfile* NextProfile();
 
   /// Anomaly trigger. Captures a post-mortem unless within the cooldown
   /// window of the previous dump or the dump budget is spent; every call

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-
-#include "telemetry/bounded_store.h"
+#include <iterator>
 
 namespace wlm {
 
@@ -77,55 +76,71 @@ std::string ExplainOutcome(const QueryProfile& profile) {
   return out;
 }
 
+namespace {
+
+// Outcome names a record stores as a code; index 0 is "live".
+constexpr const char* kOutcomes[] = {"",       "completed", "killed",
+                                     "aborted", "rejected",  "shed"};
+
+}  // namespace
+
 ProfileStore::ProfileStore(size_t max_profiles)
     : max_profiles_(max_profiles) {
-  // The store's population is bounded, so pre-sizing the hash table once
-  // avoids every rehash (each of which would move all live entries).
-  profiles_.reserve(max_profiles_);
+  records_.reserve(ReserveBound(max_profiles_));
 }
 
-ProfileStore::Entry* ProfileStore::FindEntry(QueryId id) {
-  auto it = profiles_.find(id);
-  return it == profiles_.end() ? nullptr : &it->second;
+ProfileStore::Slot ProfileStore::Begin(QueryId id, const std::string& workload,
+                                       QueryKind kind, double now,
+                                       uint64_t journey) {
+  const uint32_t found = index_.Find(id);
+  if (found != SlotIndex::kNone) return Slot{found};
+  while (size() >= max_profiles_ && !finished_.empty()) {
+    const uint32_t victim = finished_.front();
+    finished_.pop_front();
+    index_.Erase(records_[victim].id);
+    records_[victim].in_use = false;
+    free_.push_back(victim);
+    ++evicted_;
+  }
+  uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<uint32_t>(records_.size());
+    records_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    records_[slot] = Record();
+  }
+  Record& record = records_[slot];
+  record.id = id;
+  record.journey = journey;
+  record.workload = workloads_.Intern(workload);
+  record.kind = kind;
+  record.arrival_time = now;
+  record.in_use = true;
+  record.order = next_order_++;
+  index_.Insert(id, slot);
+  return Slot{slot};
 }
 
-void ProfileStore::Begin(QueryId id, const std::string& workload,
-                         QueryKind kind, double now, uint64_t journey) {
-  if (profiles_.find(id) != profiles_.end()) return;
-  Entry& entry = EmplaceRecycled(profiles_, finished_order_, max_profiles_,
-                                 evicted_, id,
-                                 [](Entry& stale) { stale = Entry(); });
-  entry.profile.id = id;
-  entry.profile.journey = journey;
-  entry.profile.workload = workload;
-  entry.profile.kind = kind;
-  entry.profile.arrival_time = now;
-  entry.order = next_order_++;
+void ProfileStore::OpenWait(Slot slot, Phase phase, double now) {
+  Record* record = At(slot);
+  if (record == nullptr) return;
+  SettleRecord(*record, now);
+  record->open_phase = static_cast<int>(phase);
+  record->open_start = now;
 }
 
-void ProfileStore::OpenWait(QueryId id, Phase phase, double now) {
-  Entry* entry = FindEntry(id);
-  if (entry == nullptr) return;
-  SettleEntry(entry, now);
-  entry->open_phase = static_cast<int>(phase);
-  entry->open_start = now;
-}
-
-void ProfileStore::OpenQueueWait(QueryId id, double now) {
-  OpenWait(id, queue_lifo_ ? Phase::kOverloadQueue : Phase::kAdmissionQueue,
+void ProfileStore::OpenQueueWait(Slot slot, double now) {
+  OpenWait(slot, queue_lifo_ ? Phase::kOverloadQueue : Phase::kAdmissionQueue,
            now);
 }
 
-void ProfileStore::Settle(QueryId id, double now) {
-  SettleEntry(FindEntry(id), now);
-}
-
-void ProfileStore::SettleEntry(Entry* entry, double now) {
-  if (entry == nullptr || entry->open_phase < 0) return;
-  double waited = std::max(0.0, now - entry->open_start);
-  entry->profile.phase_seconds[static_cast<size_t>(entry->open_phase)] +=
-      waited;
-  entry->open_phase = -1;
+void ProfileStore::SettleRecord(Record& record, double now) {
+  if (record.open_phase < 0) return;
+  double waited = std::max(0.0, now - record.open_start);
+  record.phase_seconds[static_cast<size_t>(record.open_phase)] += waited;
+  record.open_phase = -1;
 }
 
 void ProfileStore::SetQueueDiscipline(bool lifo, double now) {
@@ -133,23 +148,23 @@ void ProfileStore::SetQueueDiscipline(bool lifo, double now) {
   queue_lifo_ = lifo;
   const int admission = static_cast<int>(Phase::kAdmissionQueue);
   const int overload = static_cast<int>(Phase::kOverloadQueue);
-  for (auto& [id, entry] : profiles_) {
-    if (entry.open_phase != admission && entry.open_phase != overload) {
+  for (Record& record : records_) {
+    if (!record.in_use || (record.open_phase != admission &&
+                           record.open_phase != overload)) {
       continue;
     }
-    SettleEntry(&entry, now);
-    entry.open_phase = lifo ? overload : admission;
-    entry.open_start = now;
+    SettleRecord(record, now);
+    record.open_phase = lifo ? overload : admission;
+    record.open_start = now;
   }
 }
 
-void ProfileStore::AccumulateSegment(QueryId id, const QueryOutcome& outcome) {
-  Entry* entry = FindEntry(id);
-  if (entry == nullptr) return;
-  QueryProfile& p = entry->profile;
+void ProfileStore::AccumulateSegment(Slot slot, const QueryOutcome& outcome) {
+  Record* record = At(slot);
+  if (record == nullptr) return;
   const ExecPhaseTotals& phases = outcome.phases;
-  auto add = [&p](Phase phase, double seconds) {
-    p.phase_seconds[static_cast<size_t>(phase)] += seconds;
+  auto add = [record](Phase phase, double seconds) {
+    record->phase_seconds[static_cast<size_t>(phase)] += seconds;
   };
   add(Phase::kLockWait, phases.lock_wait_seconds);
   add(Phase::kCpuRun, phases.cpu_run_seconds);
@@ -157,87 +172,136 @@ void ProfileStore::AccumulateSegment(QueryId id, const QueryOutcome& outcome) {
   add(Phase::kMemoryStall, phases.memory_stall_seconds);
   add(Phase::kThrottled, phases.throttled_seconds);
   add(Phase::kSuspendFlush, phases.suspend_flush_seconds);
-  p.resources.cpu_seconds += outcome.cpu_used;
-  p.resources.io_ops += outcome.io_used;
-  p.resources.peak_memory_mb =
-      std::max(p.resources.peak_memory_mb, outcome.memory_granted_mb);
-  p.resources.lock_hold_seconds += outcome.lock_hold_seconds;
-  p.resources.spill_factor =
-      std::max(p.resources.spill_factor, outcome.spill_factor);
-  p.resources.buffer_hit_ratio =
-      std::max(p.resources.buffer_hit_ratio, outcome.buffer_hit_ratio);
-  ++p.run_segments;
+  ResourceAttribution& r = record->resources;
+  r.cpu_seconds += outcome.cpu_used;
+  r.io_ops += outcome.io_used;
+  r.peak_memory_mb = std::max(r.peak_memory_mb, outcome.memory_granted_mb);
+  r.lock_hold_seconds += outcome.lock_hold_seconds;
+  r.spill_factor = std::max(r.spill_factor, outcome.spill_factor);
+  r.buffer_hit_ratio = std::max(r.buffer_hit_ratio, outcome.buffer_hit_ratio);
+  ++record->run_segments;
 }
 
-void ProfileStore::MarkDispatched(QueryId id, double now) {
-  Entry* entry = FindEntry(id);
-  if (entry == nullptr) return;
-  SettleEntry(entry, now);
-  if (entry->profile.first_dispatch_time < 0.0) {
-    entry->profile.first_dispatch_time = now;
+void ProfileStore::MarkDispatched(Slot slot, double now) {
+  Record* record = At(slot);
+  if (record == nullptr) return;
+  SettleRecord(*record, now);
+  if (record->first_dispatch_time < 0.0) record->first_dispatch_time = now;
+}
+
+void ProfileStore::CountRequeue(Slot slot) {
+  if (Record* record = At(slot)) ++record->requeue_count;
+}
+
+void ProfileStore::CountSuspend(Slot slot) {
+  if (Record* record = At(slot)) ++record->suspend_count;
+}
+
+bool ProfileStore::Finalize(Slot slot, double now, std::string_view outcome,
+                            std::string_view detail) {
+  Record* record = At(slot);
+  if (record == nullptr || record->outcome != kLive) return false;
+  SettleRecord(*record, now);
+  record->finish_time = now;
+  record->outcome = kFreeOutcome;
+  for (uint8_t code = 1; code < std::size(kOutcomes); ++code) {
+    if (outcome == kOutcomes[code]) record->outcome = code;
   }
-}
+  record->has_detail = !detail.empty();
+  if (record->outcome == kFreeOutcome || record->has_detail) {
+    if (slot.index >= side_.size()) side_.resize(slot.index + 1);
+    if (record->outcome == kFreeOutcome) side_[slot.index].outcome = outcome;
+    if (record->has_detail) side_[slot.index].detail = detail;
+  }
+  finished_.push_back(slot.index);
 
-void ProfileStore::CountRequeue(QueryId id) {
-  Entry* entry = FindEntry(id);
-  if (entry != nullptr) ++entry->profile.requeue_count;
-}
-
-void ProfileStore::CountSuspend(QueryId id) {
-  Entry* entry = FindEntry(id);
-  if (entry != nullptr) ++entry->profile.suspend_count;
-}
-
-const QueryProfile* ProfileStore::Finalize(QueryId id, double now,
-                                           const std::string& outcome,
-                                           const std::string& detail) {
-  Entry* entry = FindEntry(id);
-  if (entry == nullptr || entry->profile.terminal()) return nullptr;
-  SettleEntry(entry, now);
-  QueryProfile& p = entry->profile;
-  p.finish_time = now;
-  p.outcome = outcome;
-  p.detail = detail;
-  finished_order_.push_back(id);
-
-  ClassProfileRollup& rollup = rollups_[p.workload];
+  if (record->workload >= rollups_.size()) {
+    rollups_.resize(record->workload + 1);
+  }
+  ClassProfileRollup& rollup = rollups_[record->workload];
   ++rollup.count;
   for (size_t i = 0; i < kPhaseCount; ++i) {
-    rollup.phase_seconds[i] += p.phase_seconds[i];
+    rollup.phase_seconds[i] += record->phase_seconds[i];
   }
-  rollup.resources.cpu_seconds += p.resources.cpu_seconds;
-  rollup.resources.io_ops += p.resources.io_ops;
-  rollup.resources.peak_memory_mb = std::max(
-      rollup.resources.peak_memory_mb, p.resources.peak_memory_mb);
-  rollup.resources.lock_hold_seconds += p.resources.lock_hold_seconds;
-  rollup.resources.spill_factor =
-      std::max(rollup.resources.spill_factor, p.resources.spill_factor);
-  rollup.resources.buffer_hit_ratio =
-      std::max(rollup.resources.buffer_hit_ratio, p.resources.buffer_hit_ratio);
-  return &p;
+  const ResourceAttribution& r = record->resources;
+  ResourceAttribution& sum = rollup.resources;
+  sum.cpu_seconds += r.cpu_seconds;
+  sum.io_ops += r.io_ops;
+  sum.peak_memory_mb = std::max(sum.peak_memory_mb, r.peak_memory_mb);
+  sum.lock_hold_seconds += r.lock_hold_seconds;
+  sum.spill_factor = std::max(sum.spill_factor, r.spill_factor);
+  sum.buffer_hit_ratio = std::max(sum.buffer_hit_ratio, r.buffer_hit_ratio);
+  return true;
 }
 
-const QueryProfile* ProfileStore::Find(QueryId id) const {
-  auto it = profiles_.find(id);
-  return it == profiles_.end() ? nullptr : &it->second.profile;
+std::optional<QueryProfile> ProfileStore::Finalize(QueryId id, double now,
+                                                   const std::string& outcome,
+                                                   const std::string& detail) {
+  const Slot slot = Lookup(id);
+  if (!Finalize(slot, now, outcome, detail)) return std::nullopt;
+  QueryProfile profile;
+  CopyTo(slot, &profile);
+  return profile;
 }
 
-std::pair<int, double> ProfileStore::OpenSegment(QueryId id) const {
-  auto it = profiles_.find(id);
-  if (it == profiles_.end() || it->second.open_phase < 0) return {-1, 0.0};
-  return {it->second.open_phase, it->second.open_start};
+std::pair<int, double> ProfileStore::OpenSegment(Slot slot) const {
+  if (!slot || records_[slot.index].open_phase < 0) return {-1, 0.0};
+  return {records_[slot.index].open_phase, records_[slot.index].open_start};
 }
 
-std::vector<const QueryProfile*> ProfileStore::Profiles() const {
-  std::vector<std::pair<int64_t, const QueryProfile*>> ordered;
-  ordered.reserve(profiles_.size());
-  for (const auto& [id, entry] : profiles_) {
-    ordered.emplace_back(entry.order, &entry.profile);
+void ProfileStore::CopyTo(Slot slot, QueryProfile* out) const {
+  const Record& record = records_[slot.index];
+  out->id = record.id;
+  out->journey = record.journey;
+  out->workload = workloads_.Name(record.workload);
+  out->kind = record.kind;
+  out->arrival_time = record.arrival_time;
+  out->first_dispatch_time = record.first_dispatch_time;
+  out->finish_time = record.finish_time;
+  if (record.outcome == kFreeOutcome) {
+    out->outcome = side_[slot.index].outcome;
+  } else {
+    out->outcome = kOutcomes[record.outcome];
+  }
+  if (record.has_detail) {
+    out->detail = side_[slot.index].detail;
+  } else {
+    out->detail.clear();
+  }
+  out->phase_seconds = record.phase_seconds;
+  out->resources = record.resources;
+  out->run_segments = record.run_segments;
+  out->suspend_count = record.suspend_count;
+  out->requeue_count = record.requeue_count;
+}
+
+std::optional<QueryProfile> ProfileStore::Find(QueryId id) const {
+  const Slot slot = Lookup(id);
+  if (!slot) return std::nullopt;
+  QueryProfile profile;
+  CopyTo(slot, &profile);
+  return profile;
+}
+
+std::vector<QueryProfile> ProfileStore::Profiles() const {
+  std::vector<std::pair<int64_t, uint32_t>> ordered;
+  ordered.reserve(size());
+  for (uint32_t i = 0; i < records_.size(); ++i) {
+    if (records_[i].in_use) ordered.emplace_back(records_[i].order, i);
   }
   std::sort(ordered.begin(), ordered.end());
-  std::vector<const QueryProfile*> out;
-  out.reserve(ordered.size());
-  for (const auto& [order, profile] : ordered) out.push_back(profile);
+  std::vector<QueryProfile> out(ordered.size());
+  for (size_t i = 0; i < ordered.size(); ++i) {
+    CopyTo(Slot{ordered[i].second}, &out[i]);
+  }
+  return out;
+}
+
+std::map<std::string, ClassProfileRollup> ProfileStore::rollups() const {
+  std::map<std::string, ClassProfileRollup> out;
+  for (uint32_t id = 0; id < rollups_.size(); ++id) {
+    if (rollups_[id].count > 0) out[workloads_.Name(id)] = rollups_[id];
+  }
   return out;
 }
 

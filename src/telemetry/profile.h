@@ -4,14 +4,15 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "engine/types.h"
+#include "telemetry/bounded_store.h"
 
 namespace wlm {
 
@@ -110,77 +111,133 @@ struct ClassProfileRollup {
 /// "healthy: 91% cpu_run".
 std::string ExplainOutcome(const QueryProfile& profile);
 
-/// Accumulates QueryProfiles, driven by the Telemetry facade's lifecycle
-/// hooks. Bounded like the tracer: past `max_profiles` the oldest
-/// *terminal* profile is evicted per new profile (live requests are never
-/// dropped) and its slot is recycled for the new one. Lookups are O(1);
-/// every externally visible listing (Profiles(), rollups()) is explicitly
-/// ordered, so the hash map never leaks iteration nondeterminism.
+/// Accumulates per-query profiles as fixed-size records behind a flat
+/// id -> slot index, driven by the Telemetry facade's lifecycle hooks.
+/// Records hold an interned workload id, an outcome code and the raw
+/// numbers; free-text outcomes and details go to a per-slot side string
+/// that keeps its capacity. Bounded like the tracer: past `max_profiles`
+/// the oldest *terminal* profile is evicted per new profile, in finished
+/// order (live requests are never dropped), and its slot is reused.
+/// Every listing (Profiles(), rollups()) is explicitly ordered, so slot
+/// reuse never leaks into output. Find/Profiles build QueryProfile views.
 class ProfileStore {
  public:
+  /// Position of a retained profile; empty (false) when the id is unknown.
+  /// Stays valid until the next Begin.
+  struct Slot {
+    uint32_t index = SlotIndex::kNone;
+    explicit operator bool() const { return index != SlotIndex::kNone; }
+  };
+
   explicit ProfileStore(size_t max_profiles = 8192);
 
   /// Creates the profile of `id` at submission (no-op if present).
   /// `journey` is the cluster journey id from the spec (0 standalone).
-  void Begin(QueryId id, const std::string& workload, QueryKind kind,
+  Slot Begin(QueryId id, const std::string& workload, QueryKind kind,
              double now, uint64_t journey = 0);
+  Slot Lookup(QueryId id) const { return Slot{index_.Find(id)}; }
+
   /// Opens a wait segment (admission/overload queue, suspended wait,
   /// retry backoff). Any open segment is settled first.
-  void OpenWait(QueryId id, Phase phase, double now);
+  void OpenWait(Slot slot, Phase phase, double now);
   /// Opens the queue wait segment, choosing kAdmissionQueue or
   /// kOverloadQueue from the current queue discipline.
-  void OpenQueueWait(QueryId id, double now);
-  /// Settles the open wait segment (if any) into its bucket.
-  void Settle(QueryId id, double now);
+  void OpenQueueWait(Slot slot, double now);
   /// The wait queue flipped FIFO<->LIFO: re-buckets every open queue
   /// segment at `now` so time is split exactly at the flip.
   void SetQueueDiscipline(bool lifo, double now);
   /// One engine run segment ended (any OutcomeKind): folds its phase
   /// decomposition and resource usage into the profile.
-  void AccumulateSegment(QueryId id, const QueryOutcome& outcome);
-  void MarkDispatched(QueryId id, double now);
-  void CountRequeue(QueryId id);
-  void CountSuspend(QueryId id);
+  void AccumulateSegment(Slot slot, const QueryOutcome& outcome);
+  void MarkDispatched(Slot slot, double now);
+  void CountRequeue(Slot slot);
+  void CountSuspend(Slot slot);
   /// Terminal: settles any open segment, stamps the outcome and rolls the
-  /// profile into its class rollup. Returns the finalized profile
-  /// (nullptr when `id` is unknown).
-  const QueryProfile* Finalize(QueryId id, double now,
-                               const std::string& outcome,
-                               const std::string& detail);
+  /// profile into its class rollup. False when the slot is empty or the
+  /// profile is already terminal.
+  bool Finalize(Slot slot, double now, std::string_view outcome,
+                std::string_view detail);
+  /// Open wait segment as (phase index, start time); (-1, 0) when none is
+  /// open. Lets the facade emit a trace tile before settling.
+  std::pair<int, double> OpenSegment(Slot slot) const;
+  /// Writes the profile's view into `out`, reusing its string capacity.
+  void CopyTo(Slot slot, QueryProfile* out) const;
 
-  const QueryProfile* Find(QueryId id) const;
-  /// Open wait segment of `id` as (phase index, start time); (-1, 0) when
-  /// none is open. Lets the facade emit a trace tile before settling.
-  std::pair<int, double> OpenSegment(QueryId id) const;
-  /// All retained profiles, in creation order.
-  std::vector<const QueryProfile*> Profiles() const;
-  const std::map<std::string, ClassProfileRollup>& rollups() const {
-    return rollups_;
+  // QueryId forms (one lookup each).
+  void OpenWait(QueryId id, Phase phase, double now) {
+    OpenWait(Lookup(id), phase, now);
   }
-  size_t size() const { return profiles_.size(); }
+  void OpenQueueWait(QueryId id, double now) { OpenQueueWait(Lookup(id), now); }
+  void AccumulateSegment(QueryId id, const QueryOutcome& outcome) {
+    AccumulateSegment(Lookup(id), outcome);
+  }
+  void MarkDispatched(QueryId id, double now) {
+    MarkDispatched(Lookup(id), now);
+  }
+  void CountRequeue(QueryId id) { CountRequeue(Lookup(id)); }
+  void CountSuspend(QueryId id) { CountSuspend(Lookup(id)); }
+  /// Returns the finalized profile (nullopt when `id` is unknown or
+  /// already terminal).
+  std::optional<QueryProfile> Finalize(QueryId id, double now,
+                                       const std::string& outcome,
+                                       const std::string& detail);
+  std::pair<int, double> OpenSegment(QueryId id) const {
+    return OpenSegment(Lookup(id));
+  }
+
+  std::optional<QueryProfile> Find(QueryId id) const;
+  /// All retained profiles, in creation order.
+  std::vector<QueryProfile> Profiles() const;
+  /// Per-service-class rollups over terminal profiles, by workload name.
+  std::map<std::string, ClassProfileRollup> rollups() const;
+  size_t size() const { return records_.size() - free_.size(); }
   int64_t evicted() const { return evicted_; }
   bool queue_lifo() const { return queue_lifo_; }
 
  private:
-  struct Entry {
-    QueryProfile profile;
-    int64_t order = 0;       // creation order, for deterministic listing
-    int open_phase = -1;     // static_cast<int>(Phase); -1 = none open
+  static constexpr uint8_t kLive = 0;
+  static constexpr uint8_t kFreeOutcome = UINT8_MAX;
+
+  struct Record {
+    QueryId id = 0;
+    uint64_t journey = 0;
+    uint32_t workload = 0;
+    QueryKind kind = QueryKind::kBiQuery;
+    bool in_use = false;
+    bool has_detail = false;
+    uint8_t outcome = kLive;  // index into the outcome names, or free
+    double arrival_time = 0.0;
+    double first_dispatch_time = -1.0;
+    double finish_time = -1.0;
+    std::array<double, kPhaseCount> phase_seconds{};
+    ResourceAttribution resources;
+    int run_segments = 0;
+    int suspend_count = 0;
+    int requeue_count = 0;
+    int open_phase = -1;  // static_cast<int>(Phase); -1 = none open
     double open_start = 0.0;
+    int64_t order = 0;  // creation order, for deterministic listing
+  };
+  /// Free-text outcome and detail of a slot, touched only when used.
+  struct SideText {
+    std::string outcome;
+    std::string detail;
   };
 
-  Entry* FindEntry(QueryId id);
-  /// Settle on an already-resolved entry (skips the repeat lookup the
-  /// public Settle would pay on the per-query hot path).
-  void SettleEntry(Entry* entry, double now);
+  Record* At(Slot slot) { return slot ? &records_[slot.index] : nullptr; }
+  void SettleRecord(Record& record, double now);
 
   size_t max_profiles_;
   int64_t next_order_ = 0;
   int64_t evicted_ = 0;
   bool queue_lifo_ = false;
-  std::unordered_map<QueryId, Entry> profiles_;
-  std::deque<QueryId> finished_order_;
-  std::map<std::string, ClassProfileRollup> rollups_;
+  SlotIndex index_;
+  std::vector<Record> records_;
+  std::vector<SideText> side_;
+  std::vector<uint32_t> free_;    // slots evicted without reuse
+  FifoRing<uint32_t> finished_;  // terminal slots, oldest first
+  NameTable workloads_;
+  std::vector<ClassProfileRollup> rollups_;  // by interned workload id
 };
 
 }  // namespace wlm

@@ -114,11 +114,26 @@ void Telemetry::WatchSlos(const std::string& workload,
   watchdog_.SetSlos(workload, slos);
 }
 
+std::string_view Telemetry::Join(
+    std::initializer_list<std::string_view> parts) {
+  scratch_.clear();
+  for (std::string_view part : parts) scratch_ += part;
+  return scratch_;
+}
+
+Counter*& Telemetry::Keyed(KeyedCounters& cache, std::string_view key) {
+  for (auto& [name, counter] : cache) {
+    if (name == key) return counter;
+  }
+  return cache.emplace_back(std::string(key), nullptr).second;
+}
+
 void Telemetry::OnSubmit(QueryId id, const std::string& workload,
                          QueryKind kind, uint64_t journey) {
   if (!enabled_) return;
-  tracer_.GetOrCreate(id, workload, kind, Now());
-  if (profiling_) profiles_.Begin(id, workload, kind, Now(), journey);
+  const double now = Now();
+  tracer_.GetOrCreate(id, workload, kind, now);
+  if (profiling_) profiles_.Begin(id, workload, kind, now, journey);
   Counter*& submitted = workload_series_[workload].submitted;
   if (submitted == nullptr) {
     submitted = &metrics_.GetCounter("wlm_requests_submitted_total",
@@ -131,9 +146,11 @@ void Telemetry::OnAdmitted(QueryId id, const std::string& workload) {
   if (!enabled_) return;
   (void)workload;
   const double now = Now();
-  tracer_.AddClosedSpan(id, SpanKind::kAdmit, now, now, "admitted");
-  tracer_.OpenSpan(id, SpanKind::kQueue, now);
-  if (profiling_) profiles_.OpenQueueWait(id, now);
+  const Tracer::Slot trace = tracer_.Lookup(id);
+  tracer_.AddClosedSpan(trace, SpanKind::kAdmit, now, now,
+                        TraceText::kAdmitted);
+  tracer_.OpenSpan(trace, SpanKind::kQueue, now);
+  if (profiling_) profiles_.OpenQueueWait(profiles_.Lookup(id), now);
 }
 
 void Telemetry::OnRejected(QueryId id, const std::string& workload,
@@ -141,35 +158,49 @@ void Telemetry::OnRejected(QueryId id, const std::string& workload,
                            const std::string& reason) {
   if (!enabled_) return;
   const double now = Now();
-  tracer_.AddClosedSpan(id, SpanKind::kAdmit, now, now,
-                        "rejected gate=" + gate + " reason=" + reason);
-  tracer_.FinishTrace(id, now);
-  FinalizeProfile(id, "rejected", reason + " (gate=" + gate + ")");
-  metrics_
-      .GetCounter("wlm_requests_rejected_total",
-                  {{"workload", workload}, {"gate", gate}})
-      .Increment();
+  const Tracer::Slot trace = tracer_.Lookup(id);
+  tracer_.AddClosedSpan(trace, SpanKind::kAdmit, now, now,
+                        Join({"rejected gate=", gate, " reason=", reason}));
+  tracer_.FinishTrace(trace, now);
+  FinalizeProfile(profiles_.Lookup(id), "rejected",
+                  Join({reason, " (gate=", gate, ")"}));
+  Counter*& rejected = Keyed(workload_series_[workload].rejected, gate);
+  if (rejected == nullptr) {
+    rejected = &metrics_.GetCounter("wlm_requests_rejected_total",
+                                    {{"workload", workload}, {"gate", gate}});
+  }
+  rejected->Increment();
+}
+
+void Telemetry::TileOpenWait(Tracer::Slot trace, ProfileStore::Slot profile,
+                             double now) {
+  auto [phase, start] = profiles_.OpenSegment(profile);
+  if (phase >= 0 && now > start) {
+    tracer_.AddClosedSpan(trace, SpanKind::kPhase, start, now,
+                          TraceText(TraceText::kPhase, phase));
+  }
 }
 
 void Telemetry::OnRequeued(QueryId id, const std::string& workload) {
   if (!enabled_) return;
   const double now = Now();
+  const Tracer::Slot trace = tracer_.Lookup(id);
   // A kill/deadlock resubmission interrupts the running segment.
-  tracer_.CloseExecutionSegment(id, now, "outcome=resubmitted");
-  tracer_.OpenSpan(id, SpanKind::kQueue, now, "resubmit");
+  tracer_.CloseExecutionSegment(trace, now, TraceText::kOutcomeResubmitted);
+  tracer_.OpenSpan(trace, SpanKind::kQueue, now, TraceText::kResubmit);
   if (profiling_) {
     // A fault retry arrives here from backoff limbo: tile that wait.
-    auto [phase, start] = profiles_.OpenSegment(id);
-    if (phase >= 0 && now > start) {
-      tracer_.AddClosedSpan(id, SpanKind::kPhase, start, now,
-                            PhaseToString(static_cast<Phase>(phase)));
-    }
-    profiles_.CountRequeue(id);
-    profiles_.OpenQueueWait(id, now);
+    const ProfileStore::Slot profile = profiles_.Lookup(id);
+    TileOpenWait(trace, profile, now);
+    profiles_.CountRequeue(profile);
+    profiles_.OpenQueueWait(profile, now);
   }
-  metrics_
-      .GetCounter("wlm_requests_resubmitted_total", {{"workload", workload}})
-      .Increment();
+  Counter*& resubmitted = workload_series_[workload].resubmitted;
+  if (resubmitted == nullptr) {
+    resubmitted = &metrics_.GetCounter("wlm_requests_resubmitted_total",
+                                       {{"workload", workload}});
+  }
+  resubmitted->Increment();
 }
 
 void Telemetry::OnDispatchGated(QueryId id, const std::string& workload,
@@ -186,18 +217,17 @@ void Telemetry::OnDispatch(QueryId id, const std::string& workload,
                            bool resumed) {
   if (!enabled_) return;
   const double now = Now();
-  tracer_.CloseSpan(id, resumed ? SpanKind::kSuspendedWait : SpanKind::kQueue,
-                    now);
-  tracer_.OpenSpan(id, SpanKind::kExecute, now, resumed ? "resumed" : "");
+  const Tracer::Slot trace = tracer_.Lookup(id);
+  tracer_.CloseSpan(trace,
+                    resumed ? SpanKind::kSuspendedWait : SpanKind::kQueue, now);
+  tracer_.OpenSpan(trace, SpanKind::kExecute, now,
+                   resumed ? TraceText(TraceText::kResumed) : TraceText());
   if (profiling_) {
     // Tile the wait that just ended (admission/overload queue or
     // suspended wait), then settle it into the profile.
-    auto [phase, start] = profiles_.OpenSegment(id);
-    if (phase >= 0 && now > start) {
-      tracer_.AddClosedSpan(id, SpanKind::kPhase, start, now,
-                            PhaseToString(static_cast<Phase>(phase)));
-    }
-    profiles_.MarkDispatched(id, now);
+    const ProfileStore::Slot profile = profiles_.Lookup(id);
+    TileOpenWait(trace, profile, now);
+    profiles_.MarkDispatched(profile, now);
   }
   Counter*& dispatches = workload_series_[workload].dispatches[resumed];
   if (dispatches == nullptr) {
@@ -213,30 +243,35 @@ void Telemetry::OnSuspendStart(QueryId id, const std::string& workload,
   if (!enabled_) return;
   (void)workload;
   tracer_.OpenSpan(id, SpanKind::kSuspendFlush, Now(),
-                   std::string("strategy=") + strategy);
+                   Join({"strategy=", strategy}));
 }
 
 void Telemetry::OnSuspended(QueryId id, const std::string& workload) {
   if (!enabled_) return;
   const double now = Now();
-  tracer_.CloseSpan(id, SpanKind::kSuspendFlush, now);
-  tracer_.CloseExecutionSegment(id, now, "outcome=suspended");
-  tracer_.OpenSpan(id, SpanKind::kSuspendedWait, now);
+  const Tracer::Slot trace = tracer_.Lookup(id);
+  tracer_.CloseSpan(trace, SpanKind::kSuspendFlush, now);
+  tracer_.CloseExecutionSegment(trace, now, TraceText::kOutcomeSuspended);
+  tracer_.OpenSpan(trace, SpanKind::kSuspendedWait, now);
   if (profiling_) {
-    profiles_.CountSuspend(id);
-    profiles_.OpenWait(id, Phase::kSuspendedWait, now);
+    const ProfileStore::Slot profile = profiles_.Lookup(id);
+    profiles_.CountSuspend(profile);
+    profiles_.OpenWait(profile, Phase::kSuspendedWait, now);
   }
-  metrics_
-      .GetCounter("wlm_requests_suspended_total", {{"workload", workload}})
-      .Increment();
+  Counter*& suspended = workload_series_[workload].suspended;
+  if (suspended == nullptr) {
+    suspended = &metrics_.GetCounter("wlm_requests_suspended_total",
+                                     {{"workload", workload}});
+  }
+  suspended->Increment();
 }
 
 void Telemetry::OnRunSegment(QueryId id, const std::string& workload,
                              const QueryOutcome& outcome) {
   if (!enabled_ || !profiling_) return;
   (void)workload;
-  profiles_.AccumulateSegment(id, outcome);
-  AddPhaseTiles(id, outcome.dispatch_time, outcome.phases);
+  profiles_.AccumulateSegment(profiles_.Lookup(id), outcome);
+  AddPhaseTiles(tracer_.Lookup(id), outcome.dispatch_time, outcome.phases);
 }
 
 void Telemetry::OnTerminal(QueryId id, const std::string& workload,
@@ -245,10 +280,11 @@ void Telemetry::OnTerminal(QueryId id, const std::string& workload,
                            const QueryOutcome& outcome) {
   if (!enabled_) return;
   const double now = Now();
+  const Tracer::Slot trace = tracer_.Lookup(id);
   WorkloadSeries& series = workload_series_[workload];
   if (outcome.lock_wait_seconds > 0.0) {
     tracer_.AddClosedSpan(
-        id, SpanKind::kLockWait, outcome.dispatch_time,
+        trace, SpanKind::kLockWait, outcome.dispatch_time,
         std::min(outcome.dispatch_time + outcome.lock_wait_seconds, now));
     if (series.lock_wait == nullptr) {
       series.lock_wait = &metrics_.GetHistogram("wlm_lock_wait_seconds",
@@ -256,14 +292,9 @@ void Telemetry::OnTerminal(QueryId id, const std::string& workload,
     }
     series.lock_wait->Observe(outcome.lock_wait_seconds);
   }
-  char detail[160];
-  std::snprintf(detail, sizeof(detail),
-                "outcome=%s cpu=%.3f io=%.0f spill=%.2f buffer_hit=%.2f",
-                outcome_name, outcome.cpu_used, outcome.io_used,
-                outcome.spill_factor, outcome.buffer_hit_ratio);
-  tracer_.CloseExecutionSegment(id, now, detail);
-  tracer_.FinishTrace(id, now);
-  FinalizeProfile(id, outcome_name, "");
+  tracer_.CloseExecutionSegment(trace, now, outcome_name, outcome);
+  tracer_.FinishTrace(trace, now);
+  FinalizeProfile(profiles_.Lookup(id), outcome_name, "");
 
   if (std::strcmp(outcome_name, "completed") == 0) {
     if (series.completed == nullptr) {
@@ -272,10 +303,13 @@ void Telemetry::OnTerminal(QueryId id, const std::string& workload,
     }
     series.completed->Increment();
   } else {
-    metrics_
-        .GetCounter(std::string("wlm_requests_") + outcome_name + "_total",
-                    {{"workload", workload}})
-        .Increment();
+    Counter*& counter = Keyed(series.outcomes, outcome_name);
+    if (counter == nullptr) {
+      counter = &metrics_.GetCounter(
+          std::string("wlm_requests_") + outcome_name + "_total",
+          {{"workload", workload}});
+    }
+    counter->Increment();
   }
   if (series.response == nullptr) {
     series.response = &metrics_.GetHistogram("wlm_response_seconds",
@@ -291,28 +325,30 @@ void Telemetry::OnThrottle(QueryId id, const std::string& workload,
                            double duty) {
   if (!enabled_) return;
   const double now = Now();
-  char detail[48];
-  std::snprintf(detail, sizeof(detail), "duty=%.3f", duty);
+  const Tracer::Slot trace = tracer_.Lookup(id);
+  const TraceText detail(TraceText::kDuty, duty);
   // A duty change ends any current window; a new sub-1.0 duty opens one.
-  tracer_.CloseSpan(id, SpanKind::kThrottle, now);
+  tracer_.CloseSpan(trace, SpanKind::kThrottle, now);
   if (duty < 1.0) {
-    tracer_.OpenSpan(id, SpanKind::kThrottle, now, detail);
+    tracer_.OpenSpan(trace, SpanKind::kThrottle, now, detail);
   }
-  tracer_.Instant(id, "throttle", now, detail);
-  metrics_
-      .GetCounter("wlm_throttle_changes_total", {{"workload", workload}})
-      .Increment();
+  tracer_.Instant(trace, TraceText::kThrottle, now, detail);
+  Counter*& changes = workload_series_[workload].throttle_changes;
+  if (changes == nullptr) {
+    changes = &metrics_.GetCounter("wlm_throttle_changes_total",
+                                   {{"workload", workload}});
+  }
+  changes->Increment();
 }
 
 void Telemetry::OnPause(QueryId id, const std::string& workload,
                         double seconds) {
   if (!enabled_) return;
   const double now = Now();
-  char detail[48];
-  std::snprintf(detail, sizeof(detail), "seconds=%.3f", seconds);
   // Recorded closed up-front; segment close clamps it if the query leaves
   // the engine before the pause elapses.
-  tracer_.AddClosedSpan(id, SpanKind::kPause, now, now + seconds, detail);
+  tracer_.AddClosedSpan(id, SpanKind::kPause, now, now + seconds,
+                        TraceText(TraceText::kSeconds, seconds));
   metrics_.GetCounter("wlm_pauses_total", {{"workload", workload}})
       .Increment();
 }
@@ -320,8 +356,7 @@ void Telemetry::OnPause(QueryId id, const std::string& workload,
 void Telemetry::OnReprioritize(QueryId id, const std::string& workload,
                                const char* priority) {
   if (!enabled_) return;
-  tracer_.Instant(id, "reprioritize", Now(),
-                  std::string("priority=") + priority);
+  tracer_.Instant(id, "reprioritize", Now(), Join({"priority=", priority}));
   metrics_
       .GetCounter("wlm_reprioritizations_total", {{"workload", workload}})
       .Increment();
@@ -361,8 +396,9 @@ void Telemetry::OnFaultAbort(QueryId id, const std::string& workload,
                              const std::string& reason) {
   if (!enabled_) return;
   const double now = Now();
-  tracer_.Instant(id, "fault_abort", now, reason);
-  tracer_.CloseExecutionSegment(id, now, "outcome=fault_abort");
+  const Tracer::Slot trace = tracer_.Lookup(id);
+  tracer_.Instant(trace, TraceText::kFaultAbort, now, reason);
+  tracer_.CloseExecutionSegment(trace, now, TraceText::kOutcomeFaultAbort);
   metrics_.GetCounter("wlm_faults_aborts_total", {{"workload", workload}})
       .Increment();
 }
@@ -370,9 +406,8 @@ void Telemetry::OnFaultAbort(QueryId id, const std::string& workload,
 void Telemetry::OnFaultRetry(QueryId id, const std::string& workload,
                              double delay_seconds) {
   if (!enabled_) return;
-  char detail[48];
-  std::snprintf(detail, sizeof(detail), "backoff=%.3fs", delay_seconds);
-  tracer_.Instant(id, "fault_retry", Now(), detail);
+  tracer_.Instant(id, TraceText::kFaultRetry, Now(),
+                  TraceText(TraceText::kBackoff, delay_seconds));
   if (profiling_) profiles_.OpenWait(id, Phase::kRetryBackoff, Now());
   metrics_.GetCounter("wlm_faults_retries_total", {{"workload", workload}})
       .Increment();
@@ -388,27 +423,25 @@ void Telemetry::OnShed(QueryId id, const std::string& workload,
                        const std::string& reason) {
   if (!enabled_) return;
   const double now = Now();
-  tracer_.CloseSpan(id, SpanKind::kQueue, now, " shed=" + reason);
-  tracer_.Instant(id, "shed", now, reason);
-  tracer_.FinishTrace(id, now);
-  if (profiling_) {
-    auto [phase, start] = profiles_.OpenSegment(id);
-    if (phase >= 0 && now > start) {
-      tracer_.AddClosedSpan(id, SpanKind::kPhase, start, now,
-                            PhaseToString(static_cast<Phase>(phase)));
-    }
+  const Tracer::Slot trace = tracer_.Lookup(id);
+  tracer_.CloseSpan(trace, SpanKind::kQueue, now, Join({" shed=", reason}));
+  tracer_.Instant(trace, TraceText::kShed, now, reason);
+  tracer_.FinishTrace(trace, now);
+  const ProfileStore::Slot profile = profiles_.Lookup(id);
+  if (profiling_) TileOpenWait(trace, profile, now);
+  FinalizeProfile(profile, "shed", reason);
+  Counter*& shed = Keyed(workload_series_[workload].shed, reason);
+  if (shed == nullptr) {
+    shed = &metrics_.GetCounter("wlm_overload_shed_total",
+                                {{"workload", workload}, {"reason", reason}});
   }
-  FinalizeProfile(id, "shed", reason);
-  metrics_
-      .GetCounter("wlm_overload_shed_total",
-                  {{"workload", workload}, {"reason", reason}})
-      .Increment();
+  shed->Increment();
 }
 
 void Telemetry::OnRetryDenied(QueryId id, const std::string& workload,
                               const std::string& reason) {
   if (!enabled_) return;
-  tracer_.Instant(id, "retry_denied", Now(), reason);
+  tracer_.Instant(id, TraceText::kRetryDenied, Now(), reason);
   metrics_
       .GetCounter("wlm_overload_retry_denied_total",
                   {{"workload", workload}, {"reason", reason}})
@@ -515,7 +548,7 @@ void Telemetry::SetWorkloadOccupancy(const std::string& workload, int queued,
 void Telemetry::OnEscalation(QueryId id, const std::string& workload,
                              const char* rung) {
   if (!enabled_) return;
-  tracer_.Instant(id, "escalate", Now(), std::string("rung=") + rung);
+  tracer_.Instant(id, "escalate", Now(), Join({"rung=", rung}));
   metrics_
       .GetCounter("wlm_escalations_total",
                   {{"workload", workload}, {"rung", rung}})
@@ -538,11 +571,16 @@ ControllerStateSnapshot Telemetry::ControllerState() const {
   return state;
 }
 
-void Telemetry::FinalizeProfile(QueryId id, const std::string& outcome,
-                                const std::string& detail) {
-  if (!profiling_) return;
-  const QueryProfile* profile = profiles_.Finalize(id, Now(), outcome, detail);
-  if (profile == nullptr) return;
+void Telemetry::FinalizeProfile(ProfileStore::Slot slot,
+                                std::string_view outcome,
+                                std::string_view detail) {
+  if (!profiling_ || !profiles_.Finalize(slot, Now(), outcome, detail)) return;
+  // The finalized view is written straight into the flight recorder's ring
+  // (or a scratch profile), reusing its string capacity.
+  QueryProfile* profile =
+      flight_recorder_enabled_ ? recorder_.NextProfile() : nullptr;
+  if (profile == nullptr) profile = &scratch_profile_;
+  profiles_.CopyTo(slot, profile);
   auto& counters = workload_series_[profile->workload].phase_seconds;
   for (size_t i = 0; i < kPhaseCount; ++i) {
     if (profile->phase_seconds[i] <= 0.0) continue;
@@ -554,10 +592,9 @@ void Telemetry::FinalizeProfile(QueryId id, const std::string& outcome,
     }
     counters[i]->Increment(profile->phase_seconds[i]);
   }
-  if (flight_recorder_enabled_) recorder_.RecordProfile(*profile);
 }
 
-void Telemetry::AddPhaseTiles(QueryId id, double start,
+void Telemetry::AddPhaseTiles(Tracer::Slot slot, double start,
                               const ExecPhaseTotals& phases) {
   // Sequential layout of the segment's decomposition: tiles partition
   // [dispatch, finish) exactly because the buckets sum to the segment's
@@ -570,19 +607,14 @@ void Telemetry::AddPhaseTiles(QueryId id, double start,
       {Phase::kThrottled, phases.throttled_seconds},
       {Phase::kSuspendFlush, phases.suspend_flush_seconds},
   };
-  Span batch[std::size(tiles)];
-  size_t count = 0;
   double cursor = start;
   for (const auto& [phase, seconds] : tiles) {
     if (seconds <= 0.0) continue;
-    Span& span = batch[count++];
-    span.kind = SpanKind::kPhase;
-    span.start = cursor;
-    span.end = cursor + seconds;
-    span.detail = PhaseToString(phase);
+    tracer_.AddClosedSpan(slot, SpanKind::kPhase, cursor, cursor + seconds,
+                          TraceText(TraceText::kPhase,
+                                    static_cast<int>(phase)));
     cursor += seconds;
   }
-  if (count > 0) tracer_.AddClosedSpans(id, batch, count);
 }
 
 void Telemetry::TriggerFlightRecorder(const std::string& reason) {

@@ -2,10 +2,13 @@
 #define WLM_TELEMETRY_TELEMETRY_H_
 
 #include <array>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "engine/monitor.h"
@@ -190,14 +193,46 @@ class Telemetry {
                             int running);
 
  private:
+  // Per-workload handles of the per-query series, each resolved on first
+  // use so the exposition holds exactly the series uncached lookups would
+  // create. Metric objects are heap-allocated and pointer-stable, so a
+  // hook costs one hash lookup instead of building + sorting + serializing
+  // a label set (which also allocates).
+  /// Second-label series of one workload: (label value, handle), searched
+  /// linearly (a workload sees a handful of gates / reasons / outcomes).
+  using KeyedCounters = std::vector<std::pair<std::string, Counter*>>;
+  struct WorkloadSeries {
+    Counter* submitted = nullptr;
+    std::array<Counter*, 2> dispatches{};  // indexed by `resumed`
+    Counter* completed = nullptr;
+    Counter* resubmitted = nullptr;
+    Counter* suspended = nullptr;
+    Counter* throttle_changes = nullptr;
+    HistogramMetric* response = nullptr;
+    HistogramMetric* queue_wait = nullptr;
+    HistogramMetric* lock_wait = nullptr;
+    std::array<Counter*, kPhaseCount> phase_seconds{};
+    KeyedCounters outcomes;  // terminal outcomes other than completed
+    KeyedCounters rejected;  // by gate
+    KeyedCounters shed;      // by reason
+  };
+
   double Now() const;
+  /// The cached handle of `key` in `cache` (nullptr until resolved).
+  static Counter*& Keyed(KeyedCounters& cache, std::string_view key);
   /// Finalizes a profile: phase metrics, flight-recorder ring, rollups.
-  void FinalizeProfile(QueryId id, const std::string& outcome,
-                       const std::string& detail);
+  void FinalizeProfile(ProfileStore::Slot slot, std::string_view outcome,
+                       std::string_view detail);
   /// Emits kPhase tile spans partitioning [start, start+sum(phases)).
-  void AddPhaseTiles(QueryId id, double start, const ExecPhaseTotals& phases);
+  void AddPhaseTiles(Tracer::Slot slot, double start,
+                     const ExecPhaseTotals& phases);
+  /// Tiles the query's open profile wait segment up to `now` on its trace.
+  void TileOpenWait(Tracer::Slot trace, ProfileStore::Slot profile,
+                    double now);
   /// Fires the flight recorder with the current controller state.
   void TriggerFlightRecorder(const std::string& reason);
+  /// `scratch_` set to the concatenation of `parts` (reuses capacity).
+  std::string_view Join(std::initializer_list<std::string_view> parts);
 
   Simulation* sim_;
   Monitor* monitor_;
@@ -220,21 +255,9 @@ class Telemetry {
   SystemIndicators last_indicators_;
   std::map<std::string, int> breaker_states_;
   size_t violations_seen_ = 0;  // watchdog watermark for trigger edges
-  // Per-workload handles of the per-query series, each resolved on first
-  // use so the exposition holds exactly the series uncached lookups would
-  // create. Metric objects are heap-allocated and pointer-stable, so a
-  // hook costs one hash lookup instead of building + sorting + serializing
-  // a label set.
-  struct WorkloadSeries {
-    Counter* submitted = nullptr;
-    std::array<Counter*, 2> dispatches{};  // indexed by `resumed`
-    Counter* completed = nullptr;
-    HistogramMetric* response = nullptr;
-    HistogramMetric* queue_wait = nullptr;
-    HistogramMetric* lock_wait = nullptr;
-    std::array<Counter*, kPhaseCount> phase_seconds{};
-  };
   std::unordered_map<std::string, WorkloadSeries> workload_series_;
+  std::string scratch_;          // composed free text of the current hook
+  QueryProfile scratch_profile_;  // finalized profile without a recorder
 };
 
 }  // namespace wlm

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <utility>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
 
-#include "telemetry/bounded_store.h"
+#include "telemetry/profile.h"
 
 namespace wlm {
 
@@ -65,136 +67,281 @@ double QueryTrace::TotalOfKind(SpanKind kind) const {
   return total;
 }
 
+namespace {
+
+// Text of each fixed code (the printf format for the numeric ones),
+// indexed by TraceText::Code.
+constexpr const char* kTexts[] = {
+    "",                     // kNone
+    "",                     // kFree
+    "",                     // kPhase
+    "duty=%.3f",            // kDuty
+    "seconds=%.3f",         // kSeconds
+    "backoff=%.3fs",        // kBackoff
+    "admitted",             // kAdmitted
+    "resubmit",             // kResubmit
+    "resumed",              // kResumed
+    "outcome=resubmitted",  // kOutcomeResubmitted
+    "outcome=suspended",    // kOutcomeSuspended
+    "outcome=fault_abort",  // kOutcomeFaultAbort
+    "throttle",             // kThrottle
+    "shed",                 // kShed
+    "fault_abort",          // kFaultAbort
+    "fault_retry",          // kFaultRetry
+    "retry_denied",         // kRetryDenied
+    "completed",            // kCompleted
+    "killed",               // kKilled
+    "aborted",              // kAborted
+    "",                     // kTerminal
+};
+static_assert(std::size(kTexts) == TraceText::kTerminal + 1);
+
+TraceText OutcomeText(const char* name) {
+  for (TraceText::Code code :
+       {TraceText::kCompleted, TraceText::kKilled, TraceText::kAborted}) {
+    if (std::strcmp(name, kTexts[code]) == 0) return TraceText(code);
+  }
+  return TraceText(name);
+}
+
+bool IsInnerKind(SpanKind kind) {
+  return kind == SpanKind::kThrottle || kind == SpanKind::kPause ||
+         kind == SpanKind::kLockWait;
+}
+
+}  // namespace
+
 Tracer::Tracer(size_t max_traces) : max_traces_(max_traces) {
-  // The population is bounded, so sizing the table once avoids rehashes.
-  traces_.reserve(max_traces_);
+  records_.reserve(ReserveBound(max_traces_));
 }
 
-QueryTrace& Tracer::GetOrCreate(QueryId id, const std::string& workload,
-                                QueryKind kind, double now) {
-  auto it = traces_.find(id);
-  if (it != traces_.end()) return it->second;
-  QueryTrace& trace = EmplaceRecycled(
-      traces_, finished_order_, max_traces_, evicted_, id,
-      [](QueryTrace& stale) {
-        // Back to defaults, keeping the span and instant capacity.
-        QueryTrace fresh;
-        fresh.spans.swap(stale.spans);
-        fresh.instants.swap(stale.instants);
-        fresh.spans.clear();
-        fresh.instants.clear();
-        stale = std::move(fresh);
-      });
-  trace.id = id;
-  trace.workload = workload;
-  trace.kind = kind;
-  trace.tid = next_tid_++;
-  trace.start_time = now;
+Tracer::Slot Tracer::GetOrCreate(QueryId id, const std::string& workload,
+                                 QueryKind kind, double now) {
+  const uint32_t found = index_.Find(id);
+  if (found != SlotIndex::kNone) return Slot{found};
+  while (size() >= max_traces_ && !finished_.empty()) {
+    const uint32_t victim = finished_.front();
+    finished_.pop_front();
+    index_.Erase(records_[victim].id);
+    records_[victim].in_use = false;
+    free_.push_back(victim);
+    ++evicted_;
+  }
+  uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<uint32_t>(records_.size());
+    records_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Record& record = records_[slot];
+  record.id = id;
+  record.start_time = now;
+  record.tid = next_tid_++;
+  record.workload = workloads_.Intern(workload);
+  record.kind = kind;
+  record.in_use = true;
+  record.finished = false;
+  record.has_terminal = false;
+  record.spans.clear();
+  record.instants.clear();
+  record.pool_used = 0;
   // A healthy query records ~8 spans plus up to 6 phase tiles; one
-  // up-front reservation spares every trace the realloc-and-move churn
-  // of growing through 1/2/4/8/16.
-  trace.spans.reserve(16);
-  return trace;
+  // reservation per slot (kept across reuse) spares the growth churn.
+  record.spans.reserve(16);
+  index_.Insert(id, slot);
+  return Slot{slot};
 }
 
-const QueryTrace* Tracer::Find(QueryId id) const {
-  auto it = traces_.find(id);
-  return it == traces_.end() ? nullptr : &it->second;
+std::optional<QueryTrace> Tracer::Find(QueryId id) const {
+  const Slot slot = Lookup(id);
+  if (!slot) return std::nullopt;
+  return Materialize(records_[slot.index]);
 }
 
-void Tracer::OpenSpan(QueryId id, SpanKind kind, double now,
-                      std::string detail) {
-  auto it = traces_.find(id);
-  if (it == traces_.end()) return;
-  Span span;
-  span.kind = kind;
-  span.start = now;
-  span.detail = std::move(detail);
-  it->second.spans.push_back(std::move(span));
+Tracer::TextRecord Tracer::Store(Record& record, const TraceText& text) {
+  TextRecord out;
+  out.code = text.code;
+  out.num = text.num;
+  if (text.code == TraceText::kFree) {
+    if (record.pool_used == record.pool.size()) record.pool.emplace_back();
+    record.pool[record.pool_used].assign(text.free);
+    out.pool = record.pool_used++;
+  }
+  return out;
 }
 
-void Tracer::CloseSpan(QueryId id, SpanKind kind, double now,
-                       const std::string& append_detail) {
-  auto it = traces_.find(id);
-  if (it == traces_.end()) return;
-  auto& spans = it->second.spans;
-  for (auto rit = spans.rbegin(); rit != spans.rend(); ++rit) {
-    if (rit->kind == kind && rit->open()) {
-      rit->end = std::max(now, rit->start);
-      if (!append_detail.empty()) {
-        if (!rit->detail.empty()) rit->detail += ' ';
-        rit->detail += append_detail;
-      }
+void Tracer::Append(Record& record, TextRecord& to, const TraceText& text) {
+  if (text.code == TraceText::kNone) return;
+  if (to.code == TraceText::kNone) {
+    to = Store(record, text);
+    return;
+  }
+  // Both sides non-empty (rare): join them into one side-pool string.
+  if (record.pool_used == record.pool.size()) record.pool.emplace_back();
+  const uint32_t pool = record.pool_used++;
+  std::string& joined = record.pool[pool];
+  joined.clear();
+  Render(record, to, joined);
+  joined += ' ';
+  if (text.code == TraceText::kFree) {
+    joined.append(text.free);
+  } else {
+    Render(record, TextRecord{text.num, 0, text.code}, joined);
+  }
+  to = TextRecord{0.0, pool, TraceText::kFree};
+}
+
+void Tracer::Render(const Record& record, const TextRecord& text,
+                    std::string& out) const {
+  switch (text.code) {
+    case TraceText::kFree:
+      out += record.pool[text.pool];
+      return;
+    case TraceText::kPhase:
+      out += PhaseToString(static_cast<Phase>(text.num));
+      return;
+    case TraceText::kDuty:
+    case TraceText::kSeconds:
+    case TraceText::kBackoff: {
+      char buf[48];
+      std::snprintf(buf, sizeof(buf), kTexts[text.code], text.num);
+      out += buf;
+      return;
+    }
+    case TraceText::kTerminal: {
+      const char* name = record.outcome.code == TraceText::kFree
+                             ? record.pool[record.outcome.pool].c_str()
+                             : kTexts[record.outcome.code];
+      char buf[160];
+      std::snprintf(buf, sizeof(buf),
+                    "outcome=%s cpu=%.3f io=%.0f spill=%.2f buffer_hit=%.2f",
+                    name, record.cpu, record.io, record.spill,
+                    record.buffer_hit);
+      out += buf;
+      return;
+    }
+    default:
+      out += kTexts[text.code];
+  }
+}
+
+void Tracer::OpenSpan(Slot slot, SpanKind kind, double now,
+                      TraceText detail) {
+  if (!slot) return;
+  Record& record = records_[slot.index];
+  record.spans.push_back(SpanRecord{now, -1.0, Store(record, detail), kind});
+}
+
+void Tracer::CloseSpan(Slot slot, SpanKind kind, double now,
+                       TraceText append) {
+  if (!slot) return;
+  Record& record = records_[slot.index];
+  for (auto it = record.spans.rbegin(); it != record.spans.rend(); ++it) {
+    if (it->kind == kind && it->end < 0.0) {
+      it->end = std::max(now, it->start);
+      Append(record, it->detail, append);
       return;
     }
   }
 }
 
-void Tracer::AddClosedSpan(QueryId id, SpanKind kind, double start,
-                           double end, std::string detail) {
-  auto it = traces_.find(id);
-  if (it == traces_.end() || end < start) return;
-  Span span;
-  span.kind = kind;
-  span.start = start;
-  span.end = end;
-  span.detail = std::move(detail);
-  it->second.spans.push_back(std::move(span));
+void Tracer::AddClosedSpan(Slot slot, SpanKind kind, double start, double end,
+                           TraceText detail) {
+  if (!slot || end < start) return;
+  Record& record = records_[slot.index];
+  record.spans.push_back(SpanRecord{start, end, Store(record, detail), kind});
 }
 
-void Tracer::AddClosedSpans(QueryId id, Span* spans, size_t count) {
-  auto it = traces_.find(id);
-  if (it == traces_.end()) return;
-  auto& out = it->second.spans;
-  for (size_t i = 0; i < count; ++i) {
-    if (spans[i].end < spans[i].start) continue;
-    out.push_back(std::move(spans[i]));
+void Tracer::Instant(Slot slot, TraceText name, double now,
+                     TraceText detail) {
+  if (!slot) return;
+  Record& record = records_[slot.index];
+  const TextRecord stored_name = Store(record, name);
+  record.instants.push_back(
+      InstantRecord{now, stored_name, Store(record, detail)});
+}
+
+void Tracer::CloseExecutionSegment(Slot slot, double now, TraceText append) {
+  if (!slot) return;
+  for (SpanRecord& span : records_[slot.index].spans) {
+    if (!IsInnerKind(span.kind)) continue;
+    if (span.end < 0.0 || span.end > now) span.end = std::max(span.start, now);
   }
+  CloseSpan(slot, SpanKind::kExecute, now, append);
 }
 
-void Tracer::Instant(QueryId id, std::string name, double now,
-                     std::string detail) {
-  auto it = traces_.find(id);
-  if (it == traces_.end()) return;
-  TraceInstant instant;
-  instant.time = now;
-  instant.name = std::move(name);
-  instant.detail = std::move(detail);
-  it->second.instants.push_back(std::move(instant));
-}
-
-void Tracer::CloseExecutionSegment(QueryId id, double now,
-                                   const std::string& append_detail) {
-  auto it = traces_.find(id);
-  if (it == traces_.end()) return;
-  for (Span& span : it->second.spans) {
-    if (span.kind != SpanKind::kThrottle && span.kind != SpanKind::kPause &&
-        span.kind != SpanKind::kLockWait) {
-      continue;
-    }
-    if (span.open() || span.end > now) span.end = std::max(span.start, now);
+void Tracer::CloseExecutionSegment(Slot slot, double now,
+                                   const char* outcome_name,
+                                   const QueryOutcome& outcome) {
+  if (!slot) return;
+  Record& record = records_[slot.index];
+  if (!record.has_terminal) {
+    // Keep the raw numbers; the kTerminal text renders them when read.
+    record.has_terminal = true;
+    record.outcome = Store(record, OutcomeText(outcome_name));
+    record.cpu = outcome.cpu_used;
+    record.io = outcome.io_used;
+    record.spill = outcome.spill_factor;
+    record.buffer_hit = outcome.buffer_hit_ratio;
+    CloseExecutionSegment(slot, now, TraceText(TraceText::kTerminal));
+    return;
   }
-  CloseSpan(id, SpanKind::kExecute, now, append_detail);
+  // A second terminal on one trace: its numbers cannot share the record's.
+  char detail[160];
+  std::snprintf(detail, sizeof(detail),
+                "outcome=%s cpu=%.3f io=%.0f spill=%.2f buffer_hit=%.2f",
+                outcome_name, outcome.cpu_used, outcome.io_used,
+                outcome.spill_factor, outcome.buffer_hit_ratio);
+  CloseExecutionSegment(slot, now, TraceText(detail));
 }
 
-void Tracer::FinishTrace(QueryId id, double now) {
-  auto it = traces_.find(id);
-  if (it == traces_.end() || it->second.finished) return;
-  for (Span& span : it->second.spans) {
-    if (span.open() || span.end > now) span.end = std::max(span.start, now);
+void Tracer::FinishTrace(Slot slot, double now) {
+  if (!slot) return;
+  Record& record = records_[slot.index];
+  if (record.finished) return;
+  for (SpanRecord& span : record.spans) {
+    if (span.end < 0.0 || span.end > now) span.end = std::max(span.start, now);
   }
-  it->second.finished = true;
-  finished_order_.push_back(id);
+  record.finished = true;
+  finished_.push_back(slot.index);
 }
 
-std::vector<const QueryTrace*> Tracer::Traces() const {
-  std::vector<const QueryTrace*> out;
-  out.reserve(traces_.size());
-  for (const auto& [id, trace] : traces_) out.push_back(&trace);
-  std::sort(out.begin(), out.end(),
-            [](const QueryTrace* a, const QueryTrace* b) {
-              return a->tid < b->tid;
-            });
+QueryTrace Tracer::Materialize(const Record& record) const {
+  QueryTrace trace;
+  trace.id = record.id;
+  trace.workload = workloads_.Name(record.workload);
+  trace.kind = record.kind;
+  trace.tid = record.tid;
+  trace.start_time = record.start_time;
+  trace.finished = record.finished;
+  trace.spans.reserve(record.spans.size());
+  for (const SpanRecord& span : record.spans) {
+    trace.spans.push_back(
+        Span{span.kind, span.start, span.end, Render(record, span.detail)});
+  }
+  trace.instants.reserve(record.instants.size());
+  for (const InstantRecord& instant : record.instants) {
+    trace.instants.push_back(TraceInstant{instant.time,
+                                          Render(record, instant.name),
+                                          Render(record, instant.detail)});
+  }
+  return trace;
+}
+
+std::vector<QueryTrace> Tracer::Traces() const {
+  std::vector<const Record*> live;
+  live.reserve(size());
+  for (const Record& record : records_) {
+    if (record.in_use) live.push_back(&record);
+  }
+  std::sort(live.begin(), live.end(), [](const Record* a, const Record* b) {
+    return a->tid < b->tid;
+  });
+  std::vector<QueryTrace> out;
+  out.reserve(live.size());
+  for (const Record* record : live) out.push_back(Materialize(*record));
   return out;
 }
 

@@ -3,12 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "engine/types.h"
+#include "telemetry/bounded_store.h"
 
 namespace wlm {
 
@@ -79,59 +80,185 @@ struct QueryTrace {
   double TotalOfKind(SpanKind kind) const;
 };
 
-/// Accumulates QueryTraces, bounded by `max_traces`: once the limit is
-/// reached the oldest *finished* trace is evicted per new trace (live
-/// queries are never dropped; their count is bounded by the MPL anyway).
-/// The evicted slot is recycled for the new trace, keeping its span and
-/// instant capacity, so a full tracer allocates no per-query nodes.
+/// What a hook records as a span detail or an instant's name or detail: a
+/// fixed code (with one raw number for the formatted ones) or free text,
+/// which is copied into the trace's side pool. The string is built only by
+/// the read views, so the hot path neither formats nor allocates. Strings
+/// convert implicitly to free text (empty -> kNone).
+struct TraceText {
+  enum Code : uint8_t {
+    kNone,
+    kFree,
+    kPhase,    // PhaseToString(num)
+    kDuty,     // "duty=%.3f"
+    kSeconds,  // "seconds=%.3f"
+    kBackoff,  // "backoff=%.3fs"
+    kAdmitted,
+    kResubmit,
+    kResumed,
+    kOutcomeResubmitted,
+    kOutcomeSuspended,
+    kOutcomeFaultAbort,
+    kThrottle,
+    kShed,
+    kFaultAbort,
+    kFaultRetry,
+    kRetryDenied,
+    kCompleted,
+    kKilled,
+    kAborted,
+    kTerminal,  // internal: the trace's terminal-outcome detail
+  };
+
+  TraceText() = default;
+  TraceText(Code code, double num = 0.0) : code(code), num(num) {}
+  TraceText(std::string_view text)
+      : code(text.empty() ? kNone : kFree), free(text) {}
+  TraceText(const std::string& text) : TraceText(std::string_view(text)) {}
+  TraceText(const char* text) : TraceText(std::string_view(text)) {}
+
+  Code code = kNone;
+  double num = 0.0;
+  std::string_view free;
+};
+
+/// Accumulates per-query traces as fixed-size records behind a flat
+/// id -> slot index. Bounded by `max_traces`: once the limit is reached the
+/// oldest *finished* trace is evicted per new trace, in finished order
+/// (live queries are never dropped; their count is bounded by the MPL
+/// anyway). An evicted slot is reused as is: its span, instant and
+/// side-pool buffers keep their capacity, so a full tracer allocates
+/// nothing per query and eviction never destroys a string.
+///
+/// Hooks resolve a query's slot once (Lookup / GetOrCreate) and record
+/// through it; the QueryId overloads do one lookup each. A slot stays
+/// valid until the next GetOrCreate. Find/Traces build QueryTrace views.
 class Tracer {
  public:
+  /// Position of a retained trace; empty (false) when the id is unknown.
+  struct Slot {
+    uint32_t index = SlotIndex::kNone;
+    explicit operator bool() const { return index != SlotIndex::kNone; }
+  };
+
   explicit Tracer(size_t max_traces = 8192);
 
-  /// Creates (or returns) the trace of `id`.
-  QueryTrace& GetOrCreate(QueryId id, const std::string& workload,
-                          QueryKind kind, double now);
-  const QueryTrace* Find(QueryId id) const;
+  /// Creates (or finds) the trace of `id`.
+  Slot GetOrCreate(QueryId id, const std::string& workload, QueryKind kind,
+                   double now);
+  Slot Lookup(QueryId id) const { return Slot{index_.Find(id)}; }
+  /// View of the trace of `id` (nullopt when not retained).
+  std::optional<QueryTrace> Find(QueryId id) const;
 
-  void OpenSpan(QueryId id, SpanKind kind, double now,
-                std::string detail = "");
+  void OpenSpan(Slot slot, SpanKind kind, double now, TraceText detail = {});
   /// Closes the most recent open span of `kind`; no-op when none is open.
-  /// `append_detail` is appended to the span's detail.
-  void CloseSpan(QueryId id, SpanKind kind, double now,
-                 const std::string& append_detail = "");
+  /// `append` is appended to the span's detail (space-separated).
+  void CloseSpan(Slot slot, SpanKind kind, double now, TraceText append = {});
   /// Records an already-closed span (used when the duration is only known
-  /// after the fact, e.g. lock waits reported with the outcome).
-  void AddClosedSpan(QueryId id, SpanKind kind, double start, double end,
-                     std::string detail = "");
-  /// Records a batch of already-closed spans with a single trace lookup
-  /// (the per-segment phase tiles would otherwise pay one tree walk
-  /// each). Spans are moved from; entries with end < start are skipped.
-  void AddClosedSpans(QueryId id, Span* spans, size_t count);
-  void Instant(QueryId id, std::string name, double now,
-               std::string detail = "");
-
-  /// Closes the open execute span (appending `append_detail`) and closes
-  /// or clamps the inner throttle/pause/lock-wait spans to `now`, so a
+  /// after the fact, e.g. lock waits reported with the outcome). Skipped
+  /// when end < start.
+  void AddClosedSpan(Slot slot, SpanKind kind, double start, double end,
+                     TraceText detail = {});
+  void Instant(Slot slot, TraceText name, double now, TraceText detail = {});
+  /// Closes the open execute span (appending `append`) and closes or
+  /// clamps the inner throttle/pause/lock-wait spans to `now`, so a
   /// pre-recorded pause window never outlives the segment it belongs to.
-  void CloseExecutionSegment(QueryId id, double now,
-                             const std::string& append_detail);
-
+  void CloseExecutionSegment(Slot slot, double now, TraceText append);
+  /// Terminal form: appends "outcome=<name> cpu=.. io=.. spill=..
+  /// buffer_hit=..", kept as the outcome's raw numbers until read.
+  void CloseExecutionSegment(Slot slot, double now, const char* outcome_name,
+                             const QueryOutcome& outcome);
   /// Terminal bookkeeping: closes every open span at `now` and clamps any
   /// span end past `now` back to it (a pre-recorded pause window may
   /// outlive a kill), keeping the trace nestable.
-  void FinishTrace(QueryId id, double now);
+  void FinishTrace(Slot slot, double now);
+
+  // QueryId forms of the recording calls.
+  void OpenSpan(QueryId id, SpanKind kind, double now, TraceText detail = {}) {
+    OpenSpan(Lookup(id), kind, now, detail);
+  }
+  void CloseSpan(QueryId id, SpanKind kind, double now,
+                 TraceText append = {}) {
+    CloseSpan(Lookup(id), kind, now, append);
+  }
+  void AddClosedSpan(QueryId id, SpanKind kind, double start, double end,
+                     TraceText detail = {}) {
+    AddClosedSpan(Lookup(id), kind, start, end, detail);
+  }
+  void Instant(QueryId id, TraceText name, double now,
+               TraceText detail = {}) {
+    Instant(Lookup(id), name, now, detail);
+  }
+  void CloseExecutionSegment(QueryId id, double now, TraceText append) {
+    CloseExecutionSegment(Lookup(id), now, append);
+  }
+  void FinishTrace(QueryId id, double now) { FinishTrace(Lookup(id), now); }
 
   /// All traces, in creation (tid) order.
-  std::vector<const QueryTrace*> Traces() const;
-  size_t size() const { return traces_.size(); }
+  std::vector<QueryTrace> Traces() const;
+  size_t size() const { return records_.size() - free_.size(); }
   int64_t evicted() const { return evicted_; }
 
  private:
+  /// A recorded text: the code plus its number, or the side-pool index of
+  /// free text (kFree).
+  struct TextRecord {
+    double num = 0.0;
+    uint32_t pool = 0;
+    TraceText::Code code = TraceText::kNone;
+  };
+  struct SpanRecord {
+    double start;
+    double end;
+    TextRecord detail;
+    SpanKind kind;
+  };
+  struct InstantRecord {
+    double time;
+    TextRecord name;
+    TextRecord detail;
+  };
+  struct Record {
+    QueryId id = 0;
+    double start_time = 0.0;
+    int tid = 0;
+    uint32_t workload = 0;
+    QueryKind kind = QueryKind::kBiQuery;
+    bool in_use = false;
+    bool finished = false;
+    bool has_terminal = false;
+    // Raw numbers behind the kTerminal text.
+    TextRecord outcome;
+    double cpu = 0.0;
+    double io = 0.0;
+    double spill = 0.0;
+    double buffer_hit = 0.0;
+    std::vector<SpanRecord> spans;
+    std::vector<InstantRecord> instants;
+    // Side pool of free text; strings past pool_used keep their capacity.
+    std::vector<std::string> pool;
+    uint32_t pool_used = 0;
+  };
+
+  TextRecord Store(Record& record, const TraceText& text);
+  void Append(Record& record, TextRecord& to, const TraceText& text);
+  void Render(const Record& record, const TextRecord& text,
+              std::string& out) const;
+  std::string Render(const Record& record, const TextRecord& text) const {
+    std::string out;
+    Render(record, text, out);
+    return out;
+  }
+  QueryTrace Materialize(const Record& record) const;
+
   size_t max_traces_;
   int next_tid_ = 1;
   int64_t evicted_ = 0;
-  std::unordered_map<QueryId, QueryTrace> traces_;
-  std::deque<QueryId> finished_order_;
+  SlotIndex index_;
+  std::vector<Record> records_;
+  std::vector<uint32_t> free_;    // slots evicted without reuse
+  FifoRing<uint32_t> finished_;  // finished slots, oldest first
+  NameTable workloads_;
 };
 
 }  // namespace wlm

@@ -1,7 +1,8 @@
 // Allocation guards for the engine's hot paths: a steady population of
 // running queries must cost the same number of heap allocations per tick
-// whatever its size, and the lock manager must stop allocating once its
-// tables have seen their high-water mark. This binary replaces the global
+// whatever its size, the lock manager must stop allocating once its
+// tables have seen their high-water mark, and so must the per-query
+// telemetry once its retention windows are full. This binary replaces the global
 // operator new with a counting one, so it is built as its own test
 // executable.
 
@@ -16,6 +17,8 @@
 #include "engine/engine.h"
 #include "engine/lock_manager.h"
 #include "sim/simulation.h"
+#include "telemetry/event_log.h"
+#include "telemetry/telemetry.h"
 
 namespace {
 
@@ -166,6 +169,82 @@ TEST(EngineAllocTest, ContendedLockingAllocationsDoNotGrowWithTransactions) {
   std::cout << "contended lock allocations after 1k / 10k transactions: "
             << at1k << " / " << at10k << "\n";
   EXPECT_EQ(at1k, at10k);
+}
+
+/// Heap allocations of `queries` full per-query telemetry lifecycles, as
+/// the WorkloadManager drives them, after as many again of warm-up: the
+/// warm-up runs every retention window (traces, profiles, flight-recorder
+/// ring, event log and its detail ring) past full. Every eighth query is
+/// rejected and every eighth shed from the queue; the rest are admitted,
+/// dispatched, run and completed, one in four of them throttled and one in
+/// eight killed.
+size_t TelemetryLifecycleAllocations(int queries) {
+  Simulation sim;
+  EventLog log(256);
+  TelemetryOptions options;
+  options.max_traces = 64;
+  options.max_profiles = 64;
+  Telemetry telemetry(&sim, /*monitor=*/nullptr, &log, options);
+  // The strings the manager would pass in, built once.
+  const std::string workload = "oltp";
+  const std::string gate = "mpl";
+  const std::string message = "mpl limit of 32 reached for oltp";
+  const std::string reason = "queue_full";
+  QueryOutcome outcome;
+  outcome.cpu_used = 0.004;
+  outcome.io_used = 12.0;
+  outcome.buffer_hit_ratio = 0.9;
+  outcome.lock_wait_seconds = 0.001;
+  outcome.phases.lock_wait_seconds = 0.001;
+  outcome.phases.cpu_run_seconds = 0.004;
+  outcome.phases.io_stall_seconds = 0.002;
+  size_t before = 0;
+  for (int i = 0; i < 2 * queries; ++i) {
+    if (i == queries) before = g_allocations;
+    const auto id = static_cast<QueryId>(i + 1);
+    sim.RunFor(0.01);
+    telemetry.OnSubmit(id, workload, QueryKind::kOltpTransaction);
+    log.Append(sim.Now(), WlmEventType::kSubmitted, id, workload);
+    if (i % 8 == 0) {
+      log.Append(sim.Now(), WlmEventType::kRejected, id, workload, message);
+      telemetry.OnRejected(id, workload, gate, message);
+      continue;
+    }
+    telemetry.OnAdmitted(id, workload);
+    sim.RunFor(0.002);
+    if (i % 8 == 1) {
+      log.Append(sim.Now(), WlmEventType::kShed, id, workload, reason);
+      telemetry.OnShed(id, workload, reason);
+      continue;
+    }
+    log.Append(sim.Now(), WlmEventType::kDispatched, id, workload);
+    telemetry.OnDispatch(id, workload, /*resumed=*/false);
+    outcome.dispatch_time = sim.Now();
+    if (i % 4 == 2) {
+      log.Append(sim.Now(), WlmEventType::kThrottled, id, workload,
+                 "duty=0.500000");
+      telemetry.OnThrottle(id, workload, 0.5);
+    }
+    sim.RunFor(0.007);
+    const bool killed = i % 8 == 3;
+    log.Append(sim.Now(),
+               killed ? WlmEventType::kKilled : WlmEventType::kCompleted, id,
+               workload);
+    telemetry.OnRunSegment(id, workload, outcome);
+    telemetry.OnTerminal(id, workload, killed ? "killed" : "completed", 0.009,
+                         0.002, outcome);
+  }
+  EXPECT_EQ(telemetry.tracer().size(), 64u);
+  EXPECT_EQ(telemetry.profiles().size(), 64u);
+  EXPECT_EQ(log.size(), 256u);
+  return g_allocations - before;
+}
+
+TEST(EngineAllocTest, TelemetryQueryLifecycleAllocatesNothingAfterWarmUp) {
+  const size_t allocations = TelemetryLifecycleAllocations(4096);
+  std::cout << "telemetry allocations over 4096 warm query lifecycles: "
+            << allocations << "\n";
+  EXPECT_EQ(allocations, 0u);
 }
 
 }  // namespace

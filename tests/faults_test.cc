@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -616,8 +617,8 @@ TEST(FaultTelemetryTest, FaultWindowsSurfaceInMetricsAndTraces) {
   EXPECT_DOUBLE_EQ(metrics.GetGauge("wlm_faults_degraded", {}).value(), 0.0);
 
   // The whole window is one kFault span on the synthetic fault track.
-  const QueryTrace* track = rig.wlm.telemetry().tracer().Find(SyntheticTrackId(SyntheticTrack::kFaults));
-  ASSERT_NE(track, nullptr);
+  const std::optional<QueryTrace> track = rig.wlm.telemetry().tracer().Find(SyntheticTrackId(SyntheticTrack::kFaults));
+  ASSERT_TRUE(track.has_value());
   auto spans = track->SpansOfKind(SpanKind::kFault);
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_DOUBLE_EQ(spans[0]->start, 1.0);

@@ -438,11 +438,11 @@ TEST_P(FaultChaosSweep, NoRequestLostAndBudgetsHoldUnderRandomFaults) {
   // profile, fault chaos (retries, suspends, kills, sheds) included.
   const ProfileStore& profiles = rig.wlm.telemetry().profiles();
   int64_t profiled = 0;
-  for (const QueryProfile* p : profiles.Profiles()) {
-    if (!p->terminal()) continue;
+  for (const QueryProfile& p : profiles.Profiles()) {
+    if (!p.terminal()) continue;
     ++profiled;
-    EXPECT_NEAR(p->PhaseSum(), p->WallSeconds(), 1e-6)
-        << "query " << p->id << " (" << p->outcome << ")";
+    EXPECT_NEAR(p.PhaseSum(), p.WallSeconds(), 1e-6)
+        << "query " << p.id << " (" << p.outcome << ")";
   }
   EXPECT_EQ(profiled, terminal);
 
@@ -611,13 +611,13 @@ TEST_P(ClusterMetamorphicSweep, PhaseSumConservesForRedispatchedQueries) {
   int64_t checked = 0;
   std::map<QueryId, int64_t> terminal_profiles;
   for (int s = 0; s < cluster.num_shards(); ++s) {
-    for (const QueryProfile* p :
+    for (const QueryProfile& p :
          cluster.shard(s).wlm().telemetry().profiles().Profiles()) {
-      if (!p->terminal()) continue;
+      if (!p.terminal()) continue;
       ++checked;
-      ++terminal_profiles[p->id];
-      EXPECT_NEAR(p->PhaseSum(), p->WallSeconds(), 1e-6)
-          << "shard " << s << " query " << p->id << " (" << p->outcome << ")";
+      ++terminal_profiles[p.id];
+      EXPECT_NEAR(p.PhaseSum(), p.WallSeconds(), 1e-6)
+          << "shard " << s << " query " << p.id << " (" << p.outcome << ")";
     }
   }
   EXPECT_GT(checked, 0);
@@ -682,12 +682,12 @@ TEST_P(ClusterMetamorphicSweep, PhaseSumConservesForCrashDrainedQueries) {
   ASSERT_GT(crash_drained, 0) << "faults too mild to exercise crash drain";
   int64_t checked = 0;
   for (int s = 0; s < cluster.num_shards(); ++s) {
-    for (const QueryProfile* p :
+    for (const QueryProfile& p :
          cluster.shard(s).wlm().telemetry().profiles().Profiles()) {
-      if (!p->terminal()) continue;
+      if (!p.terminal()) continue;
       ++checked;
-      EXPECT_NEAR(p->PhaseSum(), p->WallSeconds(), 1e-6)
-          << "shard " << s << " query " << p->id << " (" << p->outcome << ")";
+      EXPECT_NEAR(p.PhaseSum(), p.WallSeconds(), 1e-6)
+          << "shard " << s << " query " << p.id << " (" << p.outcome << ")";
     }
   }
   EXPECT_GT(checked, 0);

@@ -2,6 +2,7 @@
 #include <cctype>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -266,8 +267,8 @@ TEST(Tracer, SpansOpenCloseAndClamp) {
   tracer.CloseExecutionSegment(1, 5.0, "outcome=completed");
   tracer.FinishTrace(1, 5.0);
 
-  const QueryTrace* trace = tracer.Find(1);
-  ASSERT_NE(trace, nullptr);
+  const std::optional<QueryTrace> trace = tracer.Find(1);
+  ASSERT_TRUE(trace.has_value());
   EXPECT_TRUE(trace->finished);
   EXPECT_EQ(trace->DistinctKinds(), 4u);
   ASSERT_EQ(trace->SpansOfKind(SpanKind::kThrottle).size(), 1u);
@@ -291,8 +292,8 @@ TEST(Tracer, EvictsOldestFinishedTraces) {
     tracer.FinishTrace(id, 1.0);
   }
   EXPECT_EQ(tracer.Traces().size(), 2u);
-  EXPECT_EQ(tracer.Find(1), nullptr);
-  EXPECT_NE(tracer.Find(4), nullptr);
+  EXPECT_FALSE(tracer.Find(1).has_value());
+  EXPECT_TRUE(tracer.Find(4).has_value());
   EXPECT_EQ(tracer.evicted(), 2u);
 }
 
@@ -302,9 +303,9 @@ TEST(Tracer, RecycledSlotCarriesNoStaleState) {
   // live. At the cap, new ids recycle the finished slots, oldest first.
   int last_tid = 0;
   for (QueryId id = 1; id <= 3; ++id) {
-    last_tid = tracer.GetOrCreate(id, "reporting-workload-with-a-long-name",
-                                  QueryKind::kBiQuery, 0.0)
-                   .tid;
+    tracer.GetOrCreate(id, "reporting-workload-with-a-long-name",
+                       QueryKind::kBiQuery, 0.0);
+    last_tid = tracer.Find(id)->tid;
     tracer.OpenSpan(id, SpanKind::kQueue, 0.0,
                     "stale detail long enough to live on the heap");
     tracer.AddClosedSpan(id, SpanKind::kLockWait, 0.5, 0.7);
@@ -312,8 +313,8 @@ TEST(Tracer, RecycledSlotCarriesNoStaleState) {
     if (id != 2) tracer.FinishTrace(id, 1.0);
   }
   for (QueryId id = 4; id <= 5; ++id) {
-    const QueryTrace& trace =
-        tracer.GetOrCreate(id, "oltp", QueryKind::kOltpTransaction, 2.0);
+    tracer.GetOrCreate(id, "oltp", QueryKind::kOltpTransaction, 2.0);
+    QueryTrace trace = *tracer.Find(id);
     EXPECT_EQ(trace.id, id);
     EXPECT_EQ(trace.workload, "oltp");
     EXPECT_EQ(trace.kind, QueryKind::kOltpTransaction);
@@ -325,6 +326,7 @@ TEST(Tracer, RecycledSlotCarriesNoStaleState) {
     EXPECT_TRUE(trace.instants.empty());
     tracer.OpenSpan(id, SpanKind::kExecute, 3.0, "fresh");
     tracer.Instant(id, "throttle", 3.5);
+    trace = *tracer.Find(id);
     ASSERT_EQ(trace.spans.size(), 1u);
     EXPECT_EQ(trace.spans[0].kind, SpanKind::kExecute);
     EXPECT_EQ(trace.spans[0].detail, "fresh");
@@ -333,17 +335,33 @@ TEST(Tracer, RecycledSlotCarriesNoStaleState) {
     EXPECT_TRUE(trace.instants[0].detail.empty());
   }
   EXPECT_EQ(tracer.evicted(), 2);
-  EXPECT_EQ(tracer.Find(1), nullptr);
-  EXPECT_EQ(tracer.Find(3), nullptr);
+  EXPECT_FALSE(tracer.Find(1).has_value());
+  EXPECT_FALSE(tracer.Find(3).has_value());
   // The live trace was never a candidate and kept its own record.
-  const QueryTrace* live = tracer.Find(2);
-  ASSERT_NE(live, nullptr);
+  const std::optional<QueryTrace> live = tracer.Find(2);
+  ASSERT_TRUE(live.has_value());
   EXPECT_FALSE(live->finished);
   EXPECT_EQ(live->spans.size(), 2u);
   EXPECT_EQ(live->instants.size(), 1u);
   std::vector<QueryId> order;
-  for (const QueryTrace* trace : tracer.Traces()) order.push_back(trace->id);
+  for (const QueryTrace& trace : tracer.Traces()) order.push_back(trace.id);
   EXPECT_EQ(order, (std::vector<QueryId>{2, 4, 5}));
+}
+
+TEST(Tracer, ChromeTraceKeepsLongWorkloadNamesWhole) {
+  // Workload names have no length limit; the thread_name row used to be
+  // formatted into a fixed buffer and cut mid-string (invalid JSON).
+  const std::string name = std::string(298, 'w') + "\"q";
+  Tracer tracer;
+  tracer.GetOrCreate(7, name, QueryKind::kBiQuery, 0.0);
+  tracer.OpenSpan(7, SpanKind::kQueue, 0.0);
+  tracer.FinishTrace(7, 1.0);
+  std::ostringstream out;
+  WriteChromeTrace(tracer, out);
+  const std::string row =
+      R"({"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"q7 [)" +
+      std::string(298, 'w') + R"(\"q]"}},)";
+  EXPECT_NE(out.str().find(row), std::string::npos) << out.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -585,8 +603,8 @@ TEST(TelemetryEndToEnd, BiQueryCarriesFullSpanLifecycle) {
   MixedRun run(/*telemetry_enabled=*/true);
   Telemetry& telemetry = run.rig->wlm.telemetry();
 
-  const QueryTrace* trace = telemetry.tracer().Find(1);
-  ASSERT_NE(trace, nullptr);
+  const std::optional<QueryTrace> trace = telemetry.tracer().Find(1);
+  ASSERT_TRUE(trace.has_value());
   EXPECT_TRUE(trace->finished);
   // queue + admit + execute + throttle >= 4 distinct span kinds.
   EXPECT_GE(trace->DistinctKinds(), 4u);
@@ -737,8 +755,9 @@ TEST(ProfileStore, QueueDisciplineFlipSplitsWaitExactly) {
   store.OpenQueueWait(7, 0.0);
   store.SetQueueDiscipline(true, 3.0);   // FIFO -> LIFO at t=3
   store.SetQueueDiscipline(false, 5.0);  // and back at t=5
-  const QueryProfile* p = store.Finalize(7, 9.0, "shed", "codel");
-  ASSERT_NE(p, nullptr);
+  const std::optional<QueryProfile> p =
+      store.Finalize(7, 9.0, "shed", "codel");
+  ASSERT_TRUE(p.has_value());
   EXPECT_DOUBLE_EQ(p->seconds(Phase::kAdmissionQueue), 3.0 + 4.0);
   EXPECT_DOUBLE_EQ(p->seconds(Phase::kOverloadQueue), 2.0);
   EXPECT_DOUBLE_EQ(p->PhaseSum(), p->WallSeconds());
@@ -749,14 +768,14 @@ TEST(ProfileStore, EvictsOldestTerminalProfilesOnly) {
   ProfileStore store(2);
   store.Begin(1, "w", QueryKind::kOltpTransaction, 0.0);
   store.Begin(2, "w", QueryKind::kOltpTransaction, 0.0);
-  ASSERT_NE(store.Finalize(1, 1.0, "completed", ""), nullptr);
+  ASSERT_TRUE(store.Finalize(1, 1.0, "completed", "").has_value());
   // Store is at capacity but only query 1 is terminal; query 1 goes.
   store.Begin(3, "w", QueryKind::kOltpTransaction, 2.0);
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.evicted(), 1);
-  EXPECT_EQ(store.Find(1), nullptr);
-  EXPECT_NE(store.Find(2), nullptr);
-  EXPECT_NE(store.Find(3), nullptr);
+  EXPECT_FALSE(store.Find(1).has_value());
+  EXPECT_TRUE(store.Find(2).has_value());
+  EXPECT_TRUE(store.Find(3).has_value());
 }
 
 TEST(ProfileStore, RecycledSlotCarriesNoStaleState) {
@@ -780,15 +799,15 @@ TEST(ProfileStore, RecycledSlotCarriesNoStaleState) {
   store.AccumulateSegment(1, segment);
   store.CountRequeue(1);
   store.CountSuspend(1);
-  ASSERT_NE(store.Finalize(1, 4.0, "killed", "timeout after a long run"),
-            nullptr);
+  ASSERT_TRUE(store.Finalize(1, 4.0, "killed", "timeout after a long run")
+                  .has_value());
   store.OpenWait(1, Phase::kRetryBackoff, 4.5);
 
   store.Begin(3, "bi", QueryKind::kBiQuery, 5.0);
   EXPECT_EQ(store.evicted(), 1);
-  EXPECT_EQ(store.Find(1), nullptr);
-  const QueryProfile* p = store.Find(3);
-  ASSERT_NE(p, nullptr);
+  EXPECT_FALSE(store.Find(1).has_value());
+  const std::optional<QueryProfile> p = store.Find(3);
+  ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->id, 3u);
   EXPECT_EQ(p->journey, 0u);
   EXPECT_EQ(p->workload, "bi");
@@ -816,13 +835,14 @@ TEST(ProfileStore, RecycledSlotCarriesNoStaleState) {
   // The recycled profile accrues only its own time from here on, and lists
   // after the older live profile.
   store.OpenQueueWait(3, 5.0);
-  const QueryProfile* done = store.Finalize(3, 6.0, "shed", "queue_full");
-  ASSERT_NE(done, nullptr);
+  const std::optional<QueryProfile> done =
+      store.Finalize(3, 6.0, "shed", "queue_full");
+  ASSERT_TRUE(done.has_value());
   EXPECT_DOUBLE_EQ(done->PhaseSum(), 1.0);
   EXPECT_DOUBLE_EQ(done->seconds(Phase::kAdmissionQueue), 1.0);
   std::vector<QueryId> order;
-  for (const QueryProfile* profile : store.Profiles()) {
-    order.push_back(profile->id);
+  for (const QueryProfile& profile : store.Profiles()) {
+    order.push_back(profile.id);
   }
   EXPECT_EQ(order, (std::vector<QueryId>{2, 3}));
 }
@@ -891,8 +911,8 @@ TEST(TelemetryEndToEnd, PhaseDecompositionConservesWallTime) {
   for (const Request* request : run.rig->wlm.AllRequests()) {
     if (!request->terminal()) continue;
     ++terminal_requests;
-    const QueryProfile* p = profiles.Find(request->spec.id);
-    ASSERT_NE(p, nullptr) << "query " << request->spec.id;
+    const std::optional<QueryProfile> p = profiles.Find(request->spec.id);
+    ASSERT_TRUE(p.has_value()) << "query " << request->spec.id;
     ASSERT_TRUE(p->terminal());
     EXPECT_NEAR(p->PhaseSum(), p->WallSeconds(), 1e-6)
         << "query " << p->id << " (" << p->outcome << ")";
@@ -906,8 +926,8 @@ TEST(TelemetryEndToEnd, PhaseDecompositionConservesWallTime) {
 
   // The throttled BI query attributes nonzero throttled time, and its
   // resource attribution saw the engine's actual consumption.
-  const QueryProfile* bi = profiles.Find(1);
-  ASSERT_NE(bi, nullptr);
+  const std::optional<QueryProfile> bi = profiles.Find(1);
+  ASSERT_TRUE(bi.has_value());
   EXPECT_GT(bi->seconds(Phase::kThrottled), 0.0);
   EXPECT_GT(bi->seconds(Phase::kCpuRun), 0.0);
   EXPECT_NEAR(bi->resources.cpu_seconds, 2.0, 1e-6);
@@ -917,10 +937,10 @@ TEST(TelemetryEndToEnd, PhaseDecompositionConservesWallTime) {
   ASSERT_TRUE(rollups.count("bi") > 0 && rollups.count("oltp") > 0);
   std::array<double, kPhaseCount> bi_sum{};
   int64_t bi_count = 0;
-  for (const QueryProfile* p : profiles.Profiles()) {
-    if (!p->terminal() || p->workload != "bi") continue;
+  for (const QueryProfile& p : profiles.Profiles()) {
+    if (!p.terminal() || p.workload != "bi") continue;
     ++bi_count;
-    for (size_t i = 0; i < kPhaseCount; ++i) bi_sum[i] += p->phase_seconds[i];
+    for (size_t i = 0; i < kPhaseCount; ++i) bi_sum[i] += p.phase_seconds[i];
   }
   EXPECT_EQ(rollups.at("bi").count, bi_count);
   for (size_t i = 0; i < kPhaseCount; ++i) {
@@ -1090,8 +1110,8 @@ TEST(TelemetryEndToEnd, PerQuerySeriesAppearOnlyOnceExercised) {
 
   const Telemetry& telemetry = wlm.telemetry();
   std::map<std::string, int> lock_waiters;
-  for (const QueryProfile* p : telemetry.profiles().Profiles()) {
-    if (p->seconds(Phase::kLockWait) > 0.0) ++lock_waiters[p->workload];
+  for (const QueryProfile& p : telemetry.profiles().Profiles()) {
+    if (p.seconds(Phase::kLockWait) > 0.0) ++lock_waiters[p.workload];
   }
   ASSERT_EQ(lock_waiters.count("bi"), 0u);
   ASSERT_EQ(lock_waiters["oltp"], 5);
