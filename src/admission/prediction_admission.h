@@ -36,7 +36,6 @@ class PqrAdmission : public AdmissionController {
                   double elapsed_seconds);
   Status Train();
   bool trained() const { return tree_.fitted(); }
-  size_t example_count() const { return training_.size(); }
 
   /// Predicted bucket index for a query.
   Result<int> PredictBucket(const QuerySpec& spec, const Plan& plan) const;

@@ -94,10 +94,7 @@ ConflictRatioAdmission::ConflictRatioAdmission(double critical_ratio)
 bool ConflictRatioAdmission::AllowDispatch(const Request& request,
                                            const WorkloadManager& manager) {
   (void)request;
-  if (manager.engine()->ConflictRatio() > critical_ratio_) {
-    ++held_;
-    return false;
-  }
+  if (manager.engine()->ConflictRatio() > critical_ratio_) return false;
   return true;
 }
 

@@ -69,9 +69,6 @@ class MplAdmission : public AdmissionController {
   bool AllowDispatch(const Request& request,
                      const WorkloadManager& manager) override;
   TechniqueInfo info() const override;
-
-  /// Lets feedback schedulers retune the global cap.
-  void set_max_mpl(int mpl) { config_.max_mpl = mpl; }
   int max_mpl() const { return config_.max_mpl; }
 
  private:
@@ -91,11 +88,8 @@ class ConflictRatioAdmission : public AdmissionController {
                      const WorkloadManager& manager) override;
   TechniqueInfo info() const override;
 
-  int64_t times_suspended_admission() const { return held_; }
-
  private:
   double critical_ratio_;
-  int64_t held_ = 0;
 };
 
 /// Throughput-feedback admission (Heiss & Wagner [26], Table 2 row 4):
@@ -153,8 +147,6 @@ class IndicatorAdmission : public AdmissionController {
   void OnSample(const SystemIndicators& indicators,
                 WorkloadManager& manager) override;
   TechniqueInfo info() const override;
-
-  bool congested() const { return congested_; }
 
  private:
   Config config_;

@@ -6,16 +6,6 @@
 
 namespace wlm {
 
-const char* WorkloadTypeToString(WorkloadType t) {
-  switch (t) {
-    case WorkloadType::kOltp:
-      return "OLTP";
-    case WorkloadType::kOlap:
-      return "OLAP";
-  }
-  return "?";
-}
-
 void WorkloadTypeClassifier::AddTrainingWindow(
     const WorkloadWindowFeatures& features, WorkloadType label) {
   training_.Add(features.ToVector(), static_cast<double>(label));

@@ -16,8 +16,6 @@ namespace wlm {
 /// Coarse workload types the dynamic classifier recognizes.
 enum class WorkloadType { kOltp = 0, kOlap = 1 };
 
-const char* WorkloadTypeToString(WorkloadType t);
-
 /// Dynamic workload characterization (Elnaffar et al. [19], Tran et al.
 /// [73]): learns the signature of known workload types from sample
 /// windows and identifies what type of workload is currently present on
@@ -59,7 +57,6 @@ class LearnedRequestClassifier : public RequestClassifier {
                   const std::string& workload);
   Status Train();
   bool trained() const { return tree_.fitted(); }
-  size_t example_count() const { return training_.size(); }
 
   std::string Classify(const Request& request,
                        const WorkloadManager& manager) override;

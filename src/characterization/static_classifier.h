@@ -51,7 +51,6 @@ class StaticClassifier : public RequestClassifier {
 
   void AddRule(ClassificationRule rule);
   void AddCriteriaFunction(CriteriaFunction fn);
-  size_t rule_count() const { return rules_.size(); }
 
   std::string Classify(const Request& request,
                        const WorkloadManager& manager) override;

@@ -104,7 +104,6 @@ class PhiAccrualDetector {
   /// Suspicion level at `now`; 0 when nothing has ever been heard.
   double Phi(double now) const;
 
-  double last_heartbeat() const { return last_arrival_; }
   int samples() const { return static_cast<int>(intervals_.size()); }
 
  private:

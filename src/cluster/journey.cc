@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "cluster/cluster.h"
-#include "telemetry/bounded_store.h"
 
 namespace wlm {
 
@@ -50,6 +49,7 @@ uint64_t JourneyLog::Begin(QueryId query, const std::string& workload,
     ++existing->second->holds;  // duplicate submit attempt
     return existing->second->journey.id;
   }
+  Store::node_type node;
   if (journeys_.size() >= max_journeys_) {
     // Drop stale entries so the front is a journey completed right now,
     // at its latest completion.
@@ -63,16 +63,23 @@ uint64_t JourneyLog::Begin(QueryId query, const std::string& workload,
       ++dropped_;
       return 0;
     }
+    // Evict it and reuse its node, so the steady state allocates nothing.
+    node = journeys_.extract(completed_.front());
+    completed_.pop_front();
+    ++evicted_;
+    Slot& stale = node.mapped();
+    by_query_.erase(stale.journey.query);
+    stale.journey.lives.clear();
+    stale.journey.workload.clear();
+    stale.queued = 0;
   }
   const uint64_t id = next_id_++;
-  Slot& slot = EmplaceRecycled(
-      journeys_, completed_, max_journeys_, evicted_, id,
-      [this](Slot& evicted) {
-        by_query_.erase(evicted.journey.query);
-        evicted.journey.lives.clear();
-        evicted.journey.workload.clear();
-        evicted.queued = 0;
-      });
+  if (!node.empty()) node.key() = id;
+  // Ids only grow, so the end() hint makes each insert amortized O(1).
+  Slot& slot =
+      node.empty()
+          ? journeys_.try_emplace(journeys_.end(), id)->second
+          : journeys_.insert(journeys_.end(), std::move(node))->second;
   slot.journey.id = id;
   slot.journey.query = query;
   slot.journey.workload = workload;

@@ -19,23 +19,6 @@ void OnlineStats::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void OnlineStats::Merge(const OnlineStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  int64_t n = count_ + other.count_;
-  double delta = other.mean_ - mean_;
-  double mean = mean_ + delta * other.count_ / static_cast<double>(n);
-  m2_ += other.m2_ +
-         delta * delta * count_ * other.count_ / static_cast<double>(n);
-  mean_ = mean;
-  count_ = n;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 void OnlineStats::Reset() { *this = OnlineStats(); }
 
 double OnlineStats::variance() const {
@@ -72,86 +55,32 @@ void Percentiles::Reset() {
   sorted_dirty_ = true;
 }
 
-double Percentiles::Percentile(double p) const {
-  if (samples_.empty()) return 0.0;
+const std::vector<double>& Percentiles::Sorted() const {
   if (sorted_dirty_) {
     sorted_ = samples_;
     std::sort(sorted_.begin(), sorted_.end());
     sorted_dirty_ = false;
   }
+  return sorted_;
+}
+
+double Percentiles::Percentile(double p) const {
+  if (samples_.empty()) return 0.0;
+  const std::vector<double>& sorted = Sorted();
   p = std::clamp(p, 0.0, 100.0);
-  double rank = p / 100.0 * static_cast<double>(sorted_.size() - 1);
+  double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, sorted_.size() - 1);
+  size_t hi = std::min(lo + 1, sorted.size() - 1);
   double frac = rank - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double Percentiles::FractionAtOrBelow(double threshold) const {
   if (samples_.empty()) return 0.0;
-  if (sorted_dirty_) {
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_dirty_ = false;
-  }
-  auto it = std::upper_bound(sorted_.begin(), sorted_.end(), threshold);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
-}
-
-Histogram::Histogram(double max_value, int num_buckets)
-    : max_value_(max_value) {
-  assert(max_value > 0.0 && num_buckets > 1);
-  bounds_.resize(num_buckets);
-  counts_.assign(num_buckets, 0);
-  // Geometric boundaries so small values get fine resolution.
-  double ratio = std::pow(max_value, 1.0 / (num_buckets - 1));
-  double b = max_value / std::pow(ratio, num_buckets - 1);
-  for (int i = 0; i < num_buckets; ++i) {
-    bounds_[i] = b;
-    b *= ratio;
-  }
-  bounds_.back() = max_value;
-}
-
-int Histogram::BucketFor(double x) const {
-  auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  if (it == bounds_.end()) return static_cast<int>(bounds_.size()) - 1;
-  return static_cast<int>(it - bounds_.begin());
-}
-
-void Histogram::Add(double x) {
-  ++counts_[BucketFor(x)];
-  ++count_;
-  sum_ += x;
-}
-
-void Histogram::Reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-}
-
-double Histogram::mean() const {
-  return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double Histogram::Percentile(double p) const {
-  if (count_ == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  double target = p / 100.0 * static_cast<double>(count_);
-  int64_t cum = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    if (static_cast<double>(cum) >= target) {
-      double lower = i == 0 ? 0.0 : bounds_[i - 1];
-      double upper = bounds_[i];
-      if (counts_[i] == 0) return upper;
-      double into = target - static_cast<double>(cum - counts_[i]);
-      return lower + (upper - lower) * into / static_cast<double>(counts_[i]);
-    }
-  }
-  return max_value_;
+  const std::vector<double>& sorted = Sorted();
+  auto it = std::upper_bound(sorted.begin(), sorted.end(), threshold);
+  return static_cast<double>(it - sorted.begin()) /
+         static_cast<double>(sorted.size());
 }
 
 void Ewma::Add(double x) {

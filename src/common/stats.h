@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace wlm {
@@ -12,7 +11,6 @@ namespace wlm {
 class OnlineStats {
  public:
   void Add(double x);
-  void Merge(const OnlineStats& other);
   void Reset();
 
   int64_t count() const { return count_; }
@@ -54,37 +52,15 @@ class Percentiles {
   double FractionAtOrBelow(double threshold) const;
 
  private:
+  /// The retained samples in ascending order, re-sorted after an Add.
+  const std::vector<double>& Sorted() const;
+
   size_t max_samples_;
   int64_t total_count_ = 0;
   OnlineStats stats_;
   std::vector<double> samples_;
   mutable std::vector<double> sorted_;
   mutable bool sorted_dirty_ = true;
-};
-
-/// Fixed-boundary histogram with power-of-two-ish bucket boundaries, for
-/// cheap percentile estimates in hot paths (monitor internals).
-class Histogram {
- public:
-  /// Buckets span [0, max_value] split geometrically into `num_buckets`.
-  Histogram(double max_value, int num_buckets);
-
-  void Add(double x);
-  void Reset();
-
-  int64_t count() const { return count_; }
-  double mean() const;
-  /// Estimated percentile via bucket interpolation.
-  double Percentile(double p) const;
-
- private:
-  int BucketFor(double x) const;
-
-  double max_value_;
-  std::vector<double> bounds_;  // upper bound per bucket
-  std::vector<int64_t> counts_;
-  int64_t count_ = 0;
-  double sum_ = 0.0;
 };
 
 /// Exponentially weighted moving average; the feedback controllers and

@@ -53,17 +53,11 @@ class Status {
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
   static Status Rejected(std::string msg) {
     return Status(StatusCode::kRejected, std::move(msg));
   }
   static Status Overloaded(std::string msg) {
     return Status(StatusCode::kOverloaded, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
@@ -75,10 +69,6 @@ class Status {
 
   bool IsRejected() const { return code_ == StatusCode::kRejected; }
   bool IsOverloaded() const { return code_ == StatusCode::kOverloaded; }
-  bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
-  bool IsResourceExhausted() const {
-    return code_ == StatusCode::kResourceExhausted;
-  }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;

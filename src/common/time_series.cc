@@ -1,7 +1,5 @@
 #include "common/time_series.h"
 
-#include <algorithm>
-
 namespace wlm {
 
 void TimeSeries::Record(double time, double value) {
@@ -33,21 +31,6 @@ double TimeSeries::SettlingTime(double lo, double hi) const {
     }
   }
   return settle;
-}
-
-std::vector<TimePoint> TimeSeries::Downsample(size_t max_points) const {
-  if (points_.size() <= max_points || max_points == 0) return points_;
-  std::vector<TimePoint> out;
-  out.reserve(max_points);
-  double stride = static_cast<double>(points_.size()) /
-                  static_cast<double>(max_points);
-  for (size_t i = 0; i < max_points; ++i) {
-    size_t idx = std::min(points_.size() - 1,
-                          static_cast<size_t>(static_cast<double>(i) * stride));
-    out.push_back(points_[idx]);
-  }
-  out.back() = points_.back();
-  return out;
 }
 
 }  // namespace wlm

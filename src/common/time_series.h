@@ -43,10 +43,6 @@ class TimeSeries {
   /// time" measure for the throttling-controller benches.
   double SettlingTime(double lo, double hi) const;
 
-  /// Downsamples to at most `max_points` evenly spaced points (for compact
-  /// bench output).
-  std::vector<TimePoint> Downsample(size_t max_points) const;
-
  private:
   std::string name_;
   std::vector<TimePoint> points_;

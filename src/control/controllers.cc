@@ -58,10 +58,6 @@ void DiminishingStepController::Reset() {
   last_direction_ = 0;
 }
 
-void DiminishingStepController::set_output(double v) {
-  output_ = std::clamp(v, out_min_, out_max_);
-}
-
 BlackBoxLinearController::BlackBoxLinearController(double out_min,
                                                    double out_max,
                                                    double probe_step,

@@ -47,7 +47,6 @@ class DiminishingStepController {
   void Reset();
   double output() const { return output_; }
   double step() const { return step_; }
-  void set_output(double v);
 
  private:
   double initial_step_;

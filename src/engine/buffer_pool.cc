@@ -45,16 +45,7 @@ double BufferPool::Register(QueryId id, const std::string& tag,
   Unregister(id);  // idempotence
   members_[id] = Member{tag, working_pages};
   group_working_[tag] += working_pages;
-  double ratio = HitRatioFor(tag, working_pages);
-  double avoided = working_pages * ratio;
-  avoided_ops_ += avoided;
-  group_avoided_[tag] += avoided;
-  return ratio;
-}
-
-double BufferPool::GroupAvoidedOps(const std::string& tag) const {
-  auto it = group_avoided_.find(tag);
-  return it == group_avoided_.end() ? 0.0 : it->second;
+  return HitRatioFor(tag, working_pages);
 }
 
 void BufferPool::Unregister(QueryId id) {

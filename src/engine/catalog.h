@@ -3,7 +3,6 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 
@@ -16,7 +15,6 @@ struct TableSpec {
   int row_bytes = 100;
   /// Pages of `page_bytes` (computed by the catalog when added).
   int64_t pages = 0;
-  bool has_primary_index = true;
 };
 
 /// Minimal system catalog: table statistics that logical workload
@@ -32,9 +30,7 @@ class Catalog {
   /// Adds (or replaces) a table; fills in `pages`.
   void AddTable(TableSpec spec);
   [[nodiscard]] Result<TableSpec> Lookup(const std::string& name) const;
-  [[nodiscard]] bool Has(const std::string& name) const { return tables_.count(name) > 0; }
   size_t table_count() const { return tables_.size(); }
-  std::vector<std::string> TableNames() const;
 
   /// A ready-made TPC-H-flavoured analytical schema at the given scale
   /// factor (SF 1 ~ lineitem 6M rows).
@@ -54,9 +50,6 @@ struct CostModel {
   /// Sequential scan: fraction of a table's pages actually read per unit
   /// selectivity is 1.0 (scans read everything regardless of selectivity).
   double io_ops_per_page = 1.0;
-  /// Index lookup cost (B-tree descent + row fetch), I/O ops per probed
-  /// row.
-  double io_ops_per_index_probe = 3.0;
   /// Hash-join build memory per row on the build side.
   double join_mb_per_mrow = 24.0;
 };

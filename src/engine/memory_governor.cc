@@ -61,12 +61,9 @@ MemoryGrant MemoryGovernor::Grant(const std::string& tag,
   grant.granted_mb =
       std::clamp(requested_mb, 0.0, AvailableFor(group));
   used_mb_ += grant.granted_mb;
-  peak_used_mb_ = std::max(peak_used_mb_, used_mb_);
   group_used_[group] += grant.granted_mb;
   double shortfall = 1.0 - grant.granted_mb / requested_mb;
   grant.spill_factor = 1.0 + spill_penalty_ * shortfall;
-  ++grants_issued_;
-  if (shortfall > 1e-12) ++short_grants_;
   return grant;
 }
 

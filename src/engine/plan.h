@@ -24,8 +24,6 @@ enum class OperatorType {
   kUtilityOp,  // backup/reorg/statistics work
 };
 
-const char* OperatorTypeToString(OperatorType type);
-
 /// One operator's work, state-size, and checkpoint behaviour.
 struct PlanOperator {
   OperatorType type = OperatorType::kTableScan;

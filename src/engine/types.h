@@ -32,8 +32,6 @@ enum class StatementType {
   kCall,
 };
 
-const char* StatementTypeToString(StatementType type);
-
 /// Connection / session attributes: the "who" of a request ("origin" in the
 /// paper's workload-definition discussion). Commercial facilities map
 /// requests to workloads by these attributes.
@@ -94,8 +92,6 @@ enum class OutcomeKind {
   kAbortedDeadlock,   // chosen as a deadlock victim
   kSuspended,         // suspend finished; query can be resumed later
 };
-
-const char* OutcomeKindToString(OutcomeKind kind);
 
 /// Mutually exclusive decomposition of an execution's in-engine wall time.
 /// Every settled interval of [dispatch, finish] lands in exactly one bucket,

@@ -21,20 +21,6 @@ double Triangular(double x, double a, double b, double c) {
   return (c - x) / (c - b);
 }
 
-const char* FuzzyActionToString(FuzzyAction a) {
-  switch (a) {
-    case FuzzyAction::kContinue:
-      return "continue";
-    case FuzzyAction::kReprioritize:
-      return "reprioritize";
-    case FuzzyAction::kKill:
-      return "kill";
-    case FuzzyAction::kKillResubmit:
-      return "kill-and-resubmit";
-  }
-  return "?";
-}
-
 FuzzyExecutionController::FuzzyExecutionController()
     : FuzzyExecutionController(Config()) {}
 

@@ -17,8 +17,6 @@ double Triangular(double x, double a, double b, double c);  // peak at b
 /// Actions the fuzzy execution controller can take on a running query.
 enum class FuzzyAction { kContinue, kReprioritize, kKill, kKillResubmit };
 
-const char* FuzzyActionToString(FuzzyAction a);
-
 /// Krompass et al.'s rule-based fuzzy execution controller for BI
 /// workloads on a data warehouse [39]: queries' execution times are not
 /// entirely predictable, so crisp thresholds misfire; instead fuzzy sets

@@ -44,7 +44,6 @@ enum class FaultKind {
 };
 
 const char* FaultKindToString(FaultKind kind);
-inline constexpr int kFaultKindCount = 9;
 /// Kinds FaultInjector can arm against a single engine (the prefix of
 /// FaultKind before the cluster-level shard kinds).
 inline constexpr int kEngineFaultKindCount = 7;

@@ -4,18 +4,6 @@
 
 namespace wlm {
 
-const char* CircuitStateToString(CircuitBreaker::State state) {
-  switch (state) {
-    case CircuitBreaker::State::kClosed:
-      return "closed";
-    case CircuitBreaker::State::kHalfOpen:
-      return "half_open";
-    case CircuitBreaker::State::kOpen:
-      return "open";
-  }
-  return "unknown";
-}
-
 CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options)
     : options_(options) {}
 

@@ -77,8 +77,6 @@ class CircuitBreaker {
   TransitionListener listener_;
 };
 
-const char* CircuitStateToString(CircuitBreaker::State state);
-
 }  // namespace wlm
 
 #endif  // WLM_OVERLOAD_CIRCUIT_BREAKER_H_

@@ -5,20 +5,6 @@
 
 namespace wlm {
 
-const char* TransitionKindToString(OverloadController::TransitionKind kind) {
-  switch (kind) {
-    case OverloadController::TransitionKind::kBreakerTripped:
-      return "breaker_tripped";
-    case OverloadController::TransitionKind::kBreakerHalfOpen:
-      return "breaker_half_open";
-    case OverloadController::TransitionKind::kBreakerClosed:
-      return "breaker_closed";
-    case OverloadController::TransitionKind::kBrownoutStepped:
-      return "brownout_stepped";
-  }
-  return "unknown";
-}
-
 OverloadController::OverloadController(OverloadOptions options)
     : options_(std::move(options)) {
   if (options_.shedding) {

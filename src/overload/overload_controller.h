@@ -135,8 +135,6 @@ class OverloadController {
   TransitionListener listener_;
 };
 
-const char* TransitionKindToString(OverloadController::TransitionKind kind);
-
 }  // namespace wlm
 
 #endif  // WLM_OVERLOAD_OVERLOAD_CONTROLLER_H_

@@ -17,7 +17,6 @@ class FifoScheduler : public Scheduler {
   int ConcurrencyLimit(const WorkloadManager& manager) override;
   TechniqueInfo info() const override;
 
-  void set_mpl(int mpl) { mpl_ = mpl; }
   int mpl() const { return mpl_; }
 
  private:

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -13,32 +12,6 @@
 #include <vector>
 
 namespace wlm {
-
-/// Insert step of the JourneyLog's bounded map. While `map` holds `cap` or
-/// more entries and some entry has finished, the oldest finished one
-/// (front of `finished_order`) is evicted and counted in `evicted`; live
-/// entries are never dropped. The last evicted node is re-keyed to `key`
-/// and reused, so the steady state allocates nothing: `reset` must return
-/// its value to the default state (keeping whatever buffer capacity it
-/// likes). Without an eviction the value is default-constructed. `key`
-/// must not already be present. The insert is hinted at end(), so an
-/// ordered map whose keys only grow (journey ids) inserts in amortized
-/// constant time.
-template <typename Map, typename Reset>
-typename Map::mapped_type& EmplaceRecycled(
-    Map& map, std::deque<typename Map::key_type>& finished_order, size_t cap,
-    int64_t& evicted, const typename Map::key_type& key, Reset reset) {
-  typename Map::node_type node;
-  while (map.size() >= cap && !finished_order.empty()) {
-    node = map.extract(finished_order.front());
-    finished_order.pop_front();
-    ++evicted;
-  }
-  if (node.empty()) return map.try_emplace(map.end(), key)->second;
-  node.key() = key;
-  reset(node.mapped());
-  return map.insert(map.end(), std::move(node))->second;
-}
 
 /// Flat open-addressing map from a 64-bit id to a 32-bit slot number: the
 /// id index of the per-query telemetry stores. Linear probing over a

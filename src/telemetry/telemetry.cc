@@ -349,8 +349,11 @@ void Telemetry::OnPause(QueryId id, const std::string& workload,
   // the engine before the pause elapses.
   tracer_.AddClosedSpan(id, SpanKind::kPause, now, now + seconds,
                         TraceText(TraceText::kSeconds, seconds));
-  metrics_.GetCounter("wlm_pauses_total", {{"workload", workload}})
-      .Increment();
+  Counter*& pauses = workload_series_[workload].pauses;
+  if (pauses == nullptr) {
+    pauses = &metrics_.GetCounter("wlm_pauses_total", {{"workload", workload}});
+  }
+  pauses->Increment();
 }
 
 void Telemetry::OnReprioritize(QueryId id, const std::string& workload,
@@ -362,14 +365,17 @@ void Telemetry::OnReprioritize(QueryId id, const std::string& workload,
       .Increment();
 }
 
+Tracer::Slot Telemetry::TrackSlot(SyntheticTrack track, double now) {
+  return tracer_.GetOrCreate(SyntheticTrackId(track), SyntheticTrackName(track),
+                             QueryKind::kUtility, now);
+}
+
 void Telemetry::OnFaultBegin(const std::string& kind,
                              const std::string& detail) {
   if (!enabled_) return;
   const double now = Now();
-  tracer_.GetOrCreate(SyntheticTrackId(SyntheticTrack::kFaults),
-                      SyntheticTrackName(SyntheticTrack::kFaults),
-                      QueryKind::kUtility, now);
-  tracer_.Instant(SyntheticTrackId(SyntheticTrack::kFaults), "fault_begin", now, kind + " " + detail);
+  const Tracer::Slot track = TrackSlot(SyntheticTrack::kFaults, now);
+  tracer_.Instant(track, "fault_begin", now, kind + " " + detail);
   metrics_.GetCounter("wlm_faults_injected_total", {{"kind", kind}})
       .Increment();
   metrics_.GetGauge("wlm_faults_active").Add(1.0);
@@ -380,12 +386,9 @@ void Telemetry::OnFaultBegin(const std::string& kind,
 void Telemetry::OnFaultEnd(const std::string& kind, double started_at) {
   if (!enabled_) return;
   const double now = Now();
-  tracer_.GetOrCreate(SyntheticTrackId(SyntheticTrack::kFaults),
-                      SyntheticTrackName(SyntheticTrack::kFaults),
-                      QueryKind::kUtility, now);
-  tracer_.AddClosedSpan(SyntheticTrackId(SyntheticTrack::kFaults), SpanKind::kFault, started_at, now,
-                        kind);
-  tracer_.Instant(SyntheticTrackId(SyntheticTrack::kFaults), "fault_end", now, kind);
+  const Tracer::Slot track = TrackSlot(SyntheticTrack::kFaults, now);
+  tracer_.AddClosedSpan(track, SpanKind::kFault, started_at, now, kind);
+  tracer_.Instant(track, "fault_end", now, kind);
   metrics_.GetCounter("wlm_faults_recovered_total", {{"kind", kind}})
       .Increment();
   metrics_.GetGauge("wlm_faults_active").Add(-1.0);
@@ -453,15 +456,13 @@ void Telemetry::OnBreakerTransition(const std::string& workload, int state,
                                     const std::string& detail) {
   if (!enabled_) return;
   const double now = Now();
-  tracer_.GetOrCreate(SyntheticTrackId(SyntheticTrack::kOverload),
-                      SyntheticTrackName(SyntheticTrack::kOverload),
-                      QueryKind::kUtility, now);
-  tracer_.Instant(SyntheticTrackId(SyntheticTrack::kOverload), std::string("breaker_") + state_name, now,
+  const Tracer::Slot track = TrackSlot(SyntheticTrack::kOverload, now);
+  tracer_.Instant(track, std::string("breaker_") + state_name, now,
                   workload + " " + detail);
   if (opened_at >= 0.0) {
     // Leaving the open state: record the whole open window as one span.
-    tracer_.AddClosedSpan(SyntheticTrackId(SyntheticTrack::kOverload), SpanKind::kOverload, opened_at,
-                          now, "breaker_open " + workload);
+    tracer_.AddClosedSpan(track, SpanKind::kOverload, opened_at, now,
+                          "breaker_open " + workload);
   }
   metrics_.GetGauge("wlm_overload_breaker_state", {{"workload", workload}})
       .Set(static_cast<double>(state));
@@ -479,16 +480,14 @@ void Telemetry::OnBrownoutStep(int level, double entered_at,
                                const std::string& detail) {
   if (!enabled_) return;
   const double now = Now();
-  tracer_.GetOrCreate(SyntheticTrackId(SyntheticTrack::kOverload),
-                      SyntheticTrackName(SyntheticTrack::kOverload),
-                      QueryKind::kUtility, now);
+  const Tracer::Slot track = TrackSlot(SyntheticTrack::kOverload, now);
   char name[48];
   std::snprintf(name, sizeof(name), "brownout_level_%d", level);
-  tracer_.Instant(SyntheticTrackId(SyntheticTrack::kOverload), name, now, detail);
+  tracer_.Instant(track, name, now, detail);
   if (level == 0 && entered_at >= 0.0) {
     // Episode over: record the whole brownout window as one span.
-    tracer_.AddClosedSpan(SyntheticTrackId(SyntheticTrack::kOverload), SpanKind::kOverload, entered_at,
-                          now, "brownout");
+    tracer_.AddClosedSpan(track, SpanKind::kOverload, entered_at, now,
+                          "brownout");
   }
   metrics_.GetGauge("wlm_overload_brownout_level")
       .Set(static_cast<double>(level));
@@ -499,10 +498,8 @@ void Telemetry::OnBrownoutStep(int level, double entered_at,
 void Telemetry::OnQueueDiscipline(bool lifo) {
   if (!enabled_) return;
   const double now = Now();
-  tracer_.GetOrCreate(SyntheticTrackId(SyntheticTrack::kOverload),
-                      SyntheticTrackName(SyntheticTrack::kOverload),
-                      QueryKind::kUtility, now);
-  tracer_.Instant(SyntheticTrackId(SyntheticTrack::kOverload), lifo ? "queue_lifo" : "queue_fifo", now);
+  const Tracer::Slot track = TrackSlot(SyntheticTrack::kOverload, now);
+  tracer_.Instant(track, lifo ? "queue_lifo" : "queue_fifo", now);
   metrics_.GetGauge("wlm_overload_queue_lifo").Set(lifo ? 1.0 : 0.0);
   queue_lifo_ = lifo;
   if (profiling_) profiles_.SetQueueDiscipline(lifo, now);

@@ -34,19 +34,8 @@ enum class SyntheticTrack {
   kCluster = 2,   ///< dispatcher routing / shard lifecycle events
 };
 
-/// Base of the reserved synthetic-id block: the topmost 2^20 ids of the
-/// QueryId space. Real query ids are assigned sequentially from small
-/// integers and the WorkloadManager rejects submissions inside the block,
-/// so a synthetic track id can never alias a live query (the old
-/// sentinels — 0 for faults, 0xE000... for overload — could).
-inline constexpr QueryId kSyntheticQueryIdBase = 0xFFFFFFFFFFF00000ULL;
-
 constexpr QueryId SyntheticTrackId(SyntheticTrack track) {
   return kSyntheticQueryIdBase + static_cast<QueryId>(track);
-}
-
-constexpr bool IsSyntheticQueryId(QueryId id) {
-  return id >= kSyntheticQueryIdBase;
 }
 
 /// Stable workload/track label for a synthetic track ("faults",
@@ -85,7 +74,6 @@ class Telemetry {
             TelemetryOptions options = TelemetryOptions());
 
   bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
 
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
@@ -208,6 +196,7 @@ class Telemetry {
     Counter* resubmitted = nullptr;
     Counter* suspended = nullptr;
     Counter* throttle_changes = nullptr;
+    Counter* pauses = nullptr;
     HistogramMetric* response = nullptr;
     HistogramMetric* queue_wait = nullptr;
     HistogramMetric* lock_wait = nullptr;
@@ -223,6 +212,8 @@ class Telemetry {
   /// Finalizes a profile: phase metrics, flight-recorder ring, rollups.
   void FinalizeProfile(ProfileStore::Slot slot, std::string_view outcome,
                        std::string_view detail);
+  /// Creates (or finds) the trace of a synthetic track.
+  Tracer::Slot TrackSlot(SyntheticTrack track, double now);
   /// Emits kPhase tile spans partitioning [start, start+sum(phases)).
   void AddPhaseTiles(Tracer::Slot slot, double start,
                      const ExecPhaseTotals& phases);

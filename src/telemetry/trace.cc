@@ -172,6 +172,42 @@ Tracer::TextRecord Tracer::Store(Record& record, const TraceText& text) {
   return out;
 }
 
+void Tracer::Bound(Record& record) {
+  if (!IsSyntheticQueryId(record.id)) return;
+  if (record.spans.size() > max_traces_) {
+    record.spans.erase(record.spans.begin());
+  }
+  if (record.instants.size() > max_traces_) {
+    record.instants.erase(record.instants.begin());
+  }
+  // The retained entries name at most 3 * max_traces_ + 1 pool strings;
+  // past 4 * max_traces_ + 4, move them to the front, in pool order, and
+  // renumber their references. Dropped strings keep their capacity.
+  if (record.pool_used <= 4 * max_traces_ + 4) return;
+  auto for_each_text = [&record](auto&& fn) {
+    for (SpanRecord& span : record.spans) fn(span.detail);
+    for (InstantRecord& instant : record.instants) {
+      fn(instant.name);
+      fn(instant.detail);
+    }
+    if (record.has_terminal) fn(record.outcome);
+  };
+  remap_.assign(record.pool_used, SlotIndex::kNone);
+  for_each_text([this](const TextRecord& text) {
+    if (text.code == TraceText::kFree) remap_[text.pool] = 0;
+  });
+  uint32_t kept = 0;
+  for (uint32_t i = 0; i < record.pool_used; ++i) {
+    if (remap_[i] == SlotIndex::kNone) continue;
+    if (i != kept) record.pool[kept].swap(record.pool[i]);
+    remap_[i] = kept++;
+  }
+  record.pool_used = kept;
+  for_each_text([this](TextRecord& text) {
+    if (text.code == TraceText::kFree) text.pool = remap_[text.pool];
+  });
+}
+
 void Tracer::Append(Record& record, TextRecord& to, const TraceText& text) {
   if (text.code == TraceText::kNone) return;
   if (to.code == TraceText::kNone) {
@@ -232,6 +268,7 @@ void Tracer::OpenSpan(Slot slot, SpanKind kind, double now,
   if (!slot) return;
   Record& record = records_[slot.index];
   record.spans.push_back(SpanRecord{now, -1.0, Store(record, detail), kind});
+  Bound(record);
 }
 
 void Tracer::CloseSpan(Slot slot, SpanKind kind, double now,
@@ -252,6 +289,7 @@ void Tracer::AddClosedSpan(Slot slot, SpanKind kind, double start, double end,
   if (!slot || end < start) return;
   Record& record = records_[slot.index];
   record.spans.push_back(SpanRecord{start, end, Store(record, detail), kind});
+  Bound(record);
 }
 
 void Tracer::Instant(Slot slot, TraceText name, double now,
@@ -261,6 +299,7 @@ void Tracer::Instant(Slot slot, TraceText name, double now,
   const TextRecord stored_name = Store(record, name);
   record.instants.push_back(
       InstantRecord{now, stored_name, Store(record, detail)});
+  Bound(record);
 }
 
 void Tracer::CloseExecutionSegment(Slot slot, double now, TraceText append) {

@@ -122,6 +122,17 @@ struct TraceText {
   std::string_view free;
 };
 
+/// Base of the reserved synthetic-id block: the topmost 2^20 ids of the
+/// QueryId space. Real query ids are assigned sequentially from small
+/// integers and the WorkloadManager rejects submissions inside the block,
+/// so a synthetic track id can never alias a live query (the old
+/// sentinels — 0 for faults, 0xE000... for overload — could).
+inline constexpr QueryId kSyntheticQueryIdBase = 0xFFFFFFFFFFF00000ULL;
+
+constexpr bool IsSyntheticQueryId(QueryId id) {
+  return id >= kSyntheticQueryIdBase;
+}
+
 /// Accumulates per-query traces as fixed-size records behind a flat
 /// id -> slot index. Bounded by `max_traces`: once the limit is reached the
 /// oldest *finished* trace is evicted per new trace, in finished order
@@ -129,6 +140,11 @@ struct TraceText {
 /// anyway). An evicted slot is reused as is: its span, instant and
 /// side-pool buffers keep their capacity, so a full tracer allocates
 /// nothing per query and eviction never destroys a string.
+///
+/// Synthetic tracks (ids in the synthetic block) never finish, so eviction
+/// never reaches them: each keeps its newest `max_traces` spans and
+/// instants, and its side pool is compacted as the dropped entries'
+/// strings pile up.
 ///
 /// Hooks resolve a query's slot once (Lookup / GetOrCreate) and record
 /// through it; the QueryId overloads do one lookup each. A slot stays
@@ -241,6 +257,8 @@ class Tracer {
   };
 
   TextRecord Store(Record& record, const TraceText& text);
+  /// Keeps a synthetic track within `max_traces_` spans and instants.
+  void Bound(Record& record);
   void Append(Record& record, TextRecord& to, const TraceText& text);
   void Render(const Record& record, const TextRecord& text,
               std::string& out) const;
@@ -259,6 +277,7 @@ class Tracer {
   std::vector<uint32_t> free_;    // slots evicted without reuse
   FifoRing<uint32_t> finished_;  // finished slots, oldest first
   NameTable workloads_;
+  std::vector<uint32_t> remap_;  // Bound's pool compaction scratch
 };
 
 }  // namespace wlm

@@ -2,8 +2,9 @@
 // running queries must cost the same number of heap allocations per tick
 // whatever its size, the lock manager must stop allocating once its
 // tables have seen their high-water mark, and so must the per-query
-// telemetry once its retention windows are full. This binary replaces the global
-// operator new with a counting one, so it is built as its own test
+// telemetry once its retention windows are full, the synthetic telemetry
+// tracks, and warm throttle and pause requests. This binary replaces the
+// global operator new with a counting one, so it is built as its own test
 // executable.
 
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 #include <string>
 
 #include "common/rng.h"
+#include "core/workload_manager.h"
 #include "engine/engine.h"
 #include "engine/lock_manager.h"
+#include "engine/monitor.h"
 #include "sim/simulation.h"
 #include "telemetry/event_log.h"
 #include "telemetry/telemetry.h"
@@ -243,6 +246,101 @@ size_t TelemetryLifecycleAllocations(int queries) {
 TEST(EngineAllocTest, TelemetryQueryLifecycleAllocatesNothingAfterWarmUp) {
   const size_t allocations = TelemetryLifecycleAllocations(4096);
   std::cout << "telemetry allocations over 4096 warm query lifecycles: "
+            << allocations << "\n";
+  EXPECT_EQ(allocations, 0u);
+}
+
+/// Heap allocations of `steps` fault / breaker steps on the synthetic
+/// tracks, after 8 * max_traces steps of warm-up: the tracks keep their
+/// newest max_traces spans and instants and recycle their side-pool
+/// strings, so the steps reuse memory instead of growing it.
+size_t SyntheticTrackAllocations(int steps) {
+  constexpr size_t kMaxTraces = 16;
+  Tracer tracer(kMaxTraces);
+  const QueryId faults = SyntheticTrackId(SyntheticTrack::kFaults);
+  const QueryId overload = SyntheticTrackId(SyntheticTrack::kOverload);
+  tracer.GetOrCreate(faults, "faults", QueryKind::kUtility, 0.0);
+  tracer.GetOrCreate(overload, "overload", QueryKind::kUtility, 0.0);
+  const std::string begin = "fault_begin";
+  const std::string detail = "cpu_degradation magnitude=0.5 on shard 2";
+  const std::string breaker = "breaker_open reporting: p99 over budget";
+  size_t before = 0;
+  const int warm_up = 8 * static_cast<int>(kMaxTraces);
+  for (int i = 0; i < warm_up + steps; ++i) {
+    if (i == warm_up) before = g_allocations;
+    const double now = i;
+    tracer.Instant(faults, begin, now, detail);
+    tracer.AddClosedSpan(faults, SpanKind::kFault, now - 0.5, now, detail);
+    tracer.Instant(overload, "breaker_open", now, breaker);
+    tracer.AddClosedSpan(overload, SpanKind::kOverload, now - 1.0, now,
+                         breaker);
+  }
+  const size_t allocations = g_allocations - before;
+  EXPECT_EQ(tracer.Find(faults)->spans.size(), kMaxTraces);
+  EXPECT_EQ(tracer.Find(overload)->instants.size(), kMaxTraces);
+  return allocations;
+}
+
+TEST(EngineAllocTest, SyntheticTrackStepsAllocateNothingAfterWarmUp) {
+  const size_t allocations = SyntheticTrackAllocations(4096);
+  std::cout << "synthetic-track allocations over 4096 warm steps: "
+            << allocations << "\n";
+  EXPECT_EQ(allocations, 0u);
+}
+
+/// Heap allocations of warm WorkloadManager::ThrottleRequest and
+/// PauseRequest calls on running queries, as the execution controllers
+/// issue them, over `rounds` rounds after kWarmUpRounds. Each round
+/// submits four short queries, throttles, pauses and unthrottles each
+/// while it runs, then runs them to completion; only the calls are
+/// counted. The event details ("duty=0.500000", "0.050000s") fit in the
+/// short-string buffer, and the warm-up (about 7 events per query) fills
+/// the manager's 65536-event log and every telemetry window.
+size_t ThrottleAndPauseAllocations(int rounds) {
+  constexpr int kWarmUpRounds = 3072;
+  Simulation sim;
+  EngineConfig cfg;
+  cfg.num_cpus = 4;
+  cfg.io_ops_per_second = 1000.0;
+  cfg.tick_seconds = 0.01;
+  DatabaseEngine engine(&sim, cfg);
+  Monitor monitor(&sim, &engine, 0.5);
+  WlmConfig config;
+  config.telemetry.max_traces = 16;
+  config.telemetry.max_profiles = 16;
+  config.retained_requests_capacity = 16;
+  WorkloadManager wlm(&sim, &engine, &monitor, config);
+  monitor.Start();
+  size_t allocations = 0;
+  bool all_ok = true;
+  QueryId next_id = 1;
+  for (int round = 0; round < kWarmUpRounds + rounds; ++round) {
+    const QueryId first = next_id;
+    for (int k = 0; k < 4; ++k) {
+      QuerySpec spec;
+      spec.id = next_id++;
+      spec.cpu_seconds = 0.05;
+      spec.io_ops = 10.0;
+      spec.memory_mb = 1.0;
+      all_ok = wlm.Submit(spec).ok() && all_ok;
+    }
+    const size_t before = g_allocations;
+    for (QueryId id = first; id < next_id; ++id) {
+      all_ok = wlm.ThrottleRequest(id, 0.5).ok() && all_ok;
+      all_ok = wlm.PauseRequest(id, 0.05).ok() && all_ok;
+      all_ok = wlm.ThrottleRequest(id, 1.0).ok() && all_ok;
+    }
+    if (round >= kWarmUpRounds) allocations += g_allocations - before;
+    sim.RunFor(0.5);
+  }
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(wlm.running_count(), 0u);
+  return allocations;
+}
+
+TEST(EngineAllocTest, ThrottleAndPauseRequestsAllocateNothingWhenWarm) {
+  const size_t allocations = ThrottleAndPauseAllocations(256);
+  std::cout << "allocations over 3072 warm throttle/pause calls: "
             << allocations << "\n";
   EXPECT_EQ(allocations, 0u);
 }

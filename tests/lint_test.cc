@@ -860,6 +860,163 @@ TEST(LintT3Test, QuietOnConsistentRegistry) {
 }
 
 // ---------------------------------------------------------------------------
+// T4 — unused public API.
+// ---------------------------------------------------------------------------
+
+namespace {
+// A header with one used and one unused public method, plus the .cc that
+// defines them: definitions are not uses.
+std::vector<SourceFile> GaugeFiles() {
+  return {
+      {"src/engine/gauge.h", R"(
+        class Gauge {
+         public:
+          double Read() const;
+          double Peak() const { return peak_; }
+         private:
+          double peak_ = 0.0;
+        };
+      )"},
+      {"src/engine/gauge.cc",
+       "#include \"engine/gauge.h\"\n"
+       "double Gauge::Read() const { return 1.0; }\n"},
+      {"src/core/user.cc",
+       "double Use(const Gauge& g) { return g.Read(); }\n"},
+  };
+}
+}  // namespace
+
+TEST(LintT4Test, FlagsUnusedPublicMethod) {
+  auto findings = LintProject(GaugeFiles());
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "T4");
+  EXPECT_EQ(findings[0].path, "src/engine/gauge.h");
+  EXPECT_EQ(findings[0].line, 5);
+  EXPECT_NE(findings[0].message.find("'Peak'"), std::string::npos);
+}
+
+TEST(LintT4Test, BenchExampleAndTestFilesAreUsersNeverLinted) {
+  for (const char* user : {"bench/bench_gauge.cc", "examples/gauge.cpp",
+                           "perfbench/src/rigs.cc", "tests/gauge_test.cc"}) {
+    std::vector<SourceFile> files = GaugeFiles();
+    // The user file also breaks D1, which must not be reported: users
+    // are indexed for names only.
+    files.push_back(
+        {user, "double Max(const Gauge& g) { return g.Peak() + time(0); }\n"});
+    EXPECT_TRUE(LintProject(files).empty()) << user;
+  }
+}
+
+TEST(LintT4Test, PrivateAndInternalFunctionsAreNotApi) {
+  std::vector<SourceFile> files = {
+      {"src/engine/box.h", R"(
+        class Box {
+         public:
+          Box();
+         private:
+          void Hidden();
+        };
+        struct Row {
+         private:
+          int Secret() const { return 1; }
+        };
+        namespace {
+        int Local() { return 2; }
+        }
+        static int FileOnly() { return 3; }
+      )"},
+      {"src/engine/box.cc",
+       "void Box::Hidden() {}\nint Helper() { return 4; }\n"},
+  };
+  EXPECT_TRUE(LintProject(files).empty());
+}
+
+TEST(LintT4Test, OverrideConstructorDestructorAndOperatorsAreExempt) {
+  std::vector<SourceFile> files = {
+      {"src/engine/shape.h", R"(
+        class Shape {
+         public:
+          explicit Shape(int sides);
+          virtual ~Shape() = default;
+          virtual double Area() const = 0;
+          bool operator==(const Shape& other) const;
+          explicit operator bool() const;
+          Shape& operator=(const Shape&) = default;
+        };
+        class Square : public Shape {
+         public:
+          Square();
+          double Area() const override { return 1.0; }
+          double Perimeter() const final;
+        };
+      )"},
+  };
+  EXPECT_TRUE(LintProject(files).empty());
+}
+
+TEST(LintT4Test, AllowWithReasonSuppressesAndBareAllowIsA0) {
+  std::vector<SourceFile> files = GaugeFiles();
+  files[0].content = R"(
+    class Gauge {
+     public:
+      double Read() const;
+      // wlm-lint: allow(T4) read by the dashboard plug-in
+      double Peak() const { return peak_; }
+     private:
+      double peak_ = 0.0;
+    };
+  )";
+  EXPECT_TRUE(LintProject(files).empty());
+
+  files[0].content = R"(
+    class Gauge {
+     public:
+      double Read() const;
+      double Peak() const { return peak_; }  // wlm-lint: allow(T4)
+     private:
+      double peak_ = 0.0;
+    };
+  )";
+  auto findings = LintProject(files);
+  EXPECT_TRUE(HasRule(findings, "A0"));
+  EXPECT_TRUE(HasRule(findings, "T4"));
+}
+
+TEST(LintT4Test, MacroBodiesAndAddressTakingCountAsUses) {
+  std::vector<SourceFile> files = {
+      {"src/common/check.h", R"(
+        struct Check {
+          bool Passed() const;
+          static void Hook(int);
+        };
+        #define WLM_CHECK(c) \
+          if (!(c).Passed()) return
+      )"},
+      {"src/core/user.cc", "auto hook = &Check::Hook;\n"},
+  };
+  EXPECT_TRUE(LintProject(files).empty());
+}
+
+TEST(LintT4Test, SarifIsByteIdenticalAcrossRuns) {
+  std::vector<SourceFile> files = GaugeFiles();
+  files[2].content = "int Nothing() { return 0; }\n";  // Read is unused too
+  std::vector<Finding> findings = LintProject(files);
+  EXPECT_EQ(findings.size(), 2u);
+  EXPECT_EQ(ToSarif(findings), ToSarif(LintProject(files)));
+}
+
+TEST(LintT4Test, RuleCatalogListsT4WithRationale) {
+  bool found = false;
+  for (const RuleInfo& rule : Rules()) {
+    if (std::string(rule.id) != "T4") continue;
+    found = true;
+    EXPECT_NE(std::string(rule.rationale).find("public function"),
+              std::string::npos);
+  }
+  EXPECT_TRUE(found);
+}
+
+// ---------------------------------------------------------------------------
 // Baseline: accepted findings are absorbed line-for-line; new occurrences
 // of the same pattern still fail.
 // ---------------------------------------------------------------------------

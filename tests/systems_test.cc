@@ -318,6 +318,61 @@ TEST(TeradataAsmTest, WorkloadDefinitionClassifiesAndThrottles) {
   EXPECT_EQ(rig.wlm.QueuedInWorkload("dss"), 1);
 }
 
+TEST(TeradataAsmTest, ObjectThrottleCapsConcurrentQueriesOnItsObject) {
+  TestRig rig;
+  TeradataAsmFacade asm_facade(&rig.wlm);
+  TeradataAsmFacade::WorkloadDefinitionRule tactical;
+  tactical.name = "tactical";
+  tactical.application = "pos-system";
+  asm_facade.AddWorkloadDefinition(tactical);
+  TeradataAsmFacade::WorkloadDefinitionRule dss;
+  dss.name = "dss";
+  dss.kind = QueryKind::kBiQuery;
+  asm_facade.AddWorkloadDefinition(dss);
+  asm_facade.AddThrottle({"dss", 2});
+  asm_facade.AddThrottle({"tactical", 0});  // limit <= 0: no throttle
+  ASSERT_TRUE(asm_facade.Build().ok());
+
+  for (QueryId id = 1; id <= 5; ++id) {
+    ASSERT_TRUE(rig.wlm.Submit(BiSpec(id, 1.0, 100.0, 8.0)).ok());
+  }
+  for (QueryId id = 6; id <= 8; ++id) {
+    ASSERT_TRUE(rig.wlm.Submit(OltpSpec(id, 5.0)).ok());
+  }
+  // The throttle caps dss at two running queries and delays the rest;
+  // the unthrottled workload runs all of its queries at once.
+  EXPECT_EQ(rig.wlm.RunningInWorkload("dss"), 2);
+  EXPECT_EQ(rig.wlm.QueuedInWorkload("dss"), 3);
+  EXPECT_EQ(rig.wlm.RunningInWorkload("tactical"), 3);
+
+  // A cap, not a quota: delayed queries dispatch as running ones finish,
+  // and the cap holds throughout.
+  int max_running = 0;
+  for (int step = 1; step <= 400; ++step) {
+    rig.sim.RunUntil(0.25 * step);
+    max_running = std::max(max_running, rig.wlm.RunningInWorkload("dss"));
+  }
+  EXPECT_EQ(max_running, 2);
+  for (QueryId id = 1; id <= 5; ++id) {
+    EXPECT_EQ(rig.wlm.Find(id)->state, RequestState::kCompleted) << id;
+  }
+}
+
+TEST(TeradataAsmTest, DatabaseWideThrottleCapsEveryWorkload) {
+  TestRig rig;
+  TeradataAsmFacade asm_facade(&rig.wlm);
+  TeradataAsmFacade::ObjectThrottle database_wide;
+  database_wide.limit = 2;  // empty workload: the whole database
+  asm_facade.AddThrottle(database_wide);
+  ASSERT_TRUE(asm_facade.Build().ok());
+
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 1.0, 100.0, 8.0)).ok());
+  ASSERT_TRUE(rig.wlm.Submit(OltpSpec(2, 5.0)).ok());
+  ASSERT_TRUE(rig.wlm.Submit(OltpSpec(3, 5.0)).ok());
+  EXPECT_EQ(rig.wlm.running_count(), 2u);
+  EXPECT_EQ(rig.wlm.Find(3)->state, RequestState::kQueued);
+}
+
 TEST(TeradataAsmTest, ExceptionAbortKillsRunaways) {
   TestRig rig;
   TeradataAsmFacade asm_facade(&rig.wlm);

@@ -41,6 +41,28 @@ namespace reference {
 
 // ------------------------------------------------------------- reference
 
+/// Insert step of the references' bounded maps. While `map` holds `cap` or
+/// more entries and some entry has finished, the oldest finished one
+/// (front of `finished_order`) is evicted and counted in `evicted`; live
+/// entries are never dropped. The last evicted node is re-keyed to `key`
+/// and reused: `reset` must return its value to the default state.
+/// Without an eviction the value is default-constructed.
+template <typename Map, typename Reset>
+typename Map::mapped_type& EmplaceRecycled(
+    Map& map, std::deque<typename Map::key_type>& finished_order, size_t cap,
+    int64_t& evicted, const typename Map::key_type& key, Reset reset) {
+  typename Map::node_type node;
+  while (map.size() >= cap && !finished_order.empty()) {
+    node = map.extract(finished_order.front());
+    finished_order.pop_front();
+    ++evicted;
+  }
+  if (node.empty()) return map.try_emplace(map.end(), key)->second;
+  node.key() = key;
+  reset(node.mapped());
+  return map.insert(map.end(), std::move(node))->second;
+}
+
 /// Accumulates QueryTraces, bounded by `max_traces`: once the limit is
 /// reached the oldest *finished* trace is evicted per new trace (live
 /// queries are never dropped; their count is bounded by the MPL anyway).
@@ -89,6 +111,18 @@ class ReferenceTracer {
   int64_t evicted() const { return evicted_; }
 
  private:
+  /// Synthetic tracks never finish, so eviction never reaches them: each
+  /// keeps its newest `max_traces` spans and instants.
+  void Bound(QueryTrace& trace) const {
+    if (!IsSyntheticQueryId(trace.id)) return;
+    if (trace.spans.size() > max_traces_) {
+      trace.spans.erase(trace.spans.begin());
+    }
+    if (trace.instants.size() > max_traces_) {
+      trace.instants.erase(trace.instants.begin());
+    }
+  }
+
   size_t max_traces_;
   int next_tid_ = 1;
   int64_t evicted_ = 0;
@@ -142,6 +176,7 @@ void ReferenceTracer::OpenSpan(QueryId id, SpanKind kind, double now,
   span.start = now;
   span.detail = std::move(detail);
   it->second.spans.push_back(std::move(span));
+  Bound(it->second);
 }
 
 void ReferenceTracer::CloseSpan(QueryId id, SpanKind kind, double now,
@@ -171,6 +206,7 @@ void ReferenceTracer::AddClosedSpan(QueryId id, SpanKind kind, double start,
   span.end = end;
   span.detail = std::move(detail);
   it->second.spans.push_back(std::move(span));
+  Bound(it->second);
 }
 
 void ReferenceTracer::AddClosedSpans(QueryId id, Span* spans, size_t count) {
@@ -180,6 +216,7 @@ void ReferenceTracer::AddClosedSpans(QueryId id, Span* spans, size_t count) {
   for (size_t i = 0; i < count; ++i) {
     if (spans[i].end < spans[i].start) continue;
     out.push_back(std::move(spans[i]));
+    Bound(it->second);
   }
 }
 
@@ -192,6 +229,7 @@ void ReferenceTracer::Instant(QueryId id, std::string name, double now,
   instant.name = std::move(name);
   instant.detail = std::move(detail);
   it->second.instants.push_back(std::move(instant));
+  Bound(it->second);
 }
 
 void ReferenceTracer::CloseExecutionSegment(QueryId id, double now,
@@ -1436,6 +1474,38 @@ TEST_P(TelemetryStoreEquivalenceTest, MatchesReferenceOnHookScripts) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, TelemetryStoreEquivalenceTest,
                          ::testing::Range(0, kShards));
+
+// Synthetic tracks never finish, so eviction never reaches them: each keeps
+// its newest max_traces spans and instants instead, and their texts survive
+// the side-pool compaction that reclaims the dropped entries' strings.
+TEST(TracerSyntheticTrackTest, KeepsTheNewestMaxTracesSpansAndInstants) {
+  constexpr int kCap = 4;
+  Tracer tracer(kCap);
+  const QueryId track = SyntheticTrackId(SyntheticTrack::kOverload);
+  tracer.GetOrCreate(track, "overload", QueryKind::kUtility, 0.0);
+  tracer.GetOrCreate(7, "oltp", QueryKind::kOltpTransaction, 0.0);
+  for (int step = 0; step < 3 * kCap; ++step) {
+    const std::string detail = "breaker window " + std::to_string(step);
+    tracer.Instant(track, "breaker_open", step, detail);
+    tracer.AddClosedSpan(track, SpanKind::kOverload, step, step + 0.5, detail);
+    tracer.Instant(7, "reprioritize", step, detail);
+  }
+  const std::optional<QueryTrace> trace = tracer.Find(track);
+  ASSERT_TRUE(trace.has_value());
+  ASSERT_EQ(trace->spans.size(), static_cast<size_t>(kCap));
+  ASSERT_EQ(trace->instants.size(), static_cast<size_t>(kCap));
+  for (int i = 0; i < kCap; ++i) {
+    const int step = 2 * kCap + i;
+    const std::string detail = "breaker window " + std::to_string(step);
+    EXPECT_DOUBLE_EQ(trace->spans[i].start, step);
+    EXPECT_EQ(trace->spans[i].detail, detail);
+    EXPECT_DOUBLE_EQ(trace->instants[i].time, step);
+    EXPECT_EQ(trace->instants[i].name, "breaker_open");
+    EXPECT_EQ(trace->instants[i].detail, detail);
+  }
+  // A query's own trace is bounded by eviction, not capped.
+  EXPECT_EQ(tracer.Find(7)->instants.size(), static_cast<size_t>(3 * kCap));
+}
 
 }  // namespace
 }  // namespace wlm

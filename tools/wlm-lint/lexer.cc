@@ -88,6 +88,15 @@ LexedFile Lex(const std::string& content) {
           continue;
         }
         if (content[i] == '\n') break;
+        // Names a macro body mentions count as uses (rule T4).
+        if (directive == "define" && IsIdentStart(content[i]) &&
+            !IsIdentChar(content[i - 1])) {
+          size_t end = i;
+          while (end < n && IsIdentChar(content[end])) ++end;
+          out.macro_idents.push_back(content.substr(i, end - i));
+          advance(end - i);
+          continue;
+        }
         advance(1);
       }
       continue;

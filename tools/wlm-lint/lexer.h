@@ -39,11 +39,14 @@ struct IncludeDirective {
 
 /// Token stream plus the side tables the rules need. Comments and
 /// preprocessor lines are not tokens: rules see pure code, suppression
-/// directives are read from `comments`, include hygiene from `includes`.
+/// directives are read from `comments`, include hygiene from `includes`,
+/// and the names macros use from `macro_idents`.
 struct LexedFile {
   std::vector<Token> tokens;
   std::vector<Comment> comments;
   std::vector<IncludeDirective> includes;
+  /// Identifiers on `#define` lines, macro bodies included.
+  std::vector<std::string> macro_idents;
 };
 
 /// Tokenizes C++ source. Handles //, /* */, string/char literals with

@@ -22,21 +22,6 @@ namespace fs = std::filesystem;
 // whether it is handed "src", "/abs/path/src", or a single file.
 // ---------------------------------------------------------------------------
 
-std::vector<std::string> Components(const std::string& path) {
-  std::vector<std::string> out;
-  std::string part;
-  for (char c : path) {
-    if (c == '/' || c == '\\') {
-      if (!part.empty()) out.push_back(part);
-      part.clear();
-    } else {
-      part += c;
-    }
-  }
-  if (!part.empty()) out.push_back(part);
-  return out;
-}
-
 bool HasComponent(const std::string& path, const std::string& name) {
   for (const std::string& c : Components(path)) {
     if (c == name) return true;
@@ -121,36 +106,6 @@ Suppressions ParseSuppressions(const std::string& path,
     }
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Token helpers.
-// ---------------------------------------------------------------------------
-
-bool TextIs(const std::vector<Token>& toks, size_t i, const char* text) {
-  return i < toks.size() && toks[i].text == text;
-}
-
-/// Index just past the `>` matching the `<` at `open` (which must be "<").
-size_t SkipTemplateArgs(const std::vector<Token>& toks, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < toks.size(); ++i) {
-    if (toks[i].text == "<") ++depth;
-    if (toks[i].text == ">" && --depth == 0) return i + 1;
-    if (toks[i].text == ";") break;  // malformed; bail
-  }
-  return toks.size();
-}
-
-/// Index of the `)`/`}` matching the opener at `open`.
-size_t MatchDelim(const std::vector<Token>& toks, size_t open,
-                  const char* open_text, const char* close_text) {
-  int depth = 0;
-  for (size_t i = open; i < toks.size(); ++i) {
-    if (toks[i].text == open_text) ++depth;
-    if (toks[i].text == close_text && --depth == 0) return i;
-  }
-  return toks.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -330,105 +285,33 @@ void RunH1(const std::string& path, const LexedFile& file,
   if (!IsHeader(path)) return;
   if (!HasComponent(path, "engine") && !HasComponent(path, "core")) return;
   const std::vector<Token>& toks = file.tokens;
-
-  struct ClassCtx {
-    int body_depth;
-    std::string access;
-  };
-  std::vector<ClassCtx> stack;
-  int depth = 0;
-  bool pending_class = false;
-  std::string pending_access;
-
-  for (size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.text == "{") {
-      ++depth;
-      if (pending_class) {
-        stack.push_back({depth, pending_access});
-        pending_class = false;
-      }
-      continue;
-    }
-    if (t.text == "}") {
-      if (!stack.empty() && stack.back().body_depth == depth) stack.pop_back();
-      --depth;
-      continue;
-    }
-    if (t.kind != TokKind::kIdent) continue;
-
-    if ((t.text == "class" || t.text == "struct") &&
-        !(i > 0 && toks[i - 1].text == "enum")) {
-      // Definition (reaches `{`) vs forward declaration / template
-      // parameter (reaches `;` or `>` first).
-      for (size_t j = i + 1; j < toks.size(); ++j) {
-        if (toks[j].text == "{") {
-          pending_class = true;
-          pending_access = t.text == "class" ? "private" : "public";
-          break;
-        }
-        if (toks[j].text == ";" || toks[j].text == ">") break;
-      }
-      continue;
-    }
-
-    bool in_class = !stack.empty() && stack.back().body_depth == depth;
-    if (in_class &&
-        (t.text == "public" || t.text == "private" || t.text == "protected") &&
-        TextIs(toks, i + 1, ":")) {
-      stack.back().access = t.text;
-      continue;
-    }
-
-    if (!in_class || stack.back().access != "public") continue;
-    if (t.text != "bool" && t.text != "Status" && t.text != "Result") continue;
-
-    // Function name directly after the return type (Result skips its
-    // template arguments).
-    size_t name = i + 1;
-    if (t.text == "Result") {
-      if (!TextIs(toks, i + 1, "<")) continue;
-      name = SkipTemplateArgs(toks, i + 1);
-    }
-    if (name >= toks.size() || toks[name].kind != TokKind::kIdent) continue;
-    if (toks[name].text == "operator") continue;
-    if (!TextIs(toks, name + 1, "(")) continue;
-
-    // Walk back over modifiers and attributes to confirm this is the
-    // start of a member declaration and whether [[nodiscard]] is present.
+  for (const Declarator& d : ScanDeclarators(toks)) {
+    if (!d.in_class || !d.is_public) continue;
+    // Attributes and modifiers, then the return type right before the
+    // name (Result with its template arguments).
     bool has_nodiscard = false;
-    bool is_friend = false;
-    size_t k = i;
-    while (k > 0) {
-      const std::string& prev = toks[k - 1].text;
-      if (IsDeclModifier(prev)) {
-        --k;
-        continue;
-      }
-      if (prev == "friend") {
-        is_friend = true;
-        --k;
-        continue;
-      }
-      if (prev == "]]") {
-        size_t open = k - 1;
-        while (open > 0 && toks[open - 1].text != "[[") --open;
-        for (size_t a = open; a < k - 1; ++a) {
-          if (toks[a].text == "nodiscard") has_nodiscard = true;
+    size_t k = d.start;
+    for (; k < d.name; ++k) {
+      if (toks[k].text == "[[") {
+        while (k < d.name && toks[k].text != "]]") {
+          has_nodiscard |= toks[++k].text == "nodiscard";
         }
-        k = open > 0 ? open - 1 : 0;
-        continue;
+      } else if (!IsDeclModifier(toks[k].text)) {
+        break;
       }
-      break;
     }
-    bool decl_start = k == 0 || toks[k - 1].text == ";" ||
-                      toks[k - 1].text == "{" || toks[k - 1].text == "}" ||
-                      toks[k - 1].text == ":";
-    if (!decl_start || is_friend || has_nodiscard) continue;
-    if (allow.Allows(t.line, "H1")) continue;
+    const std::string& type = toks[k].text;
+    size_t after = k + 1;
+    if (type == "Result" && TextIs(toks, after, "<")) {
+      after = SkipTemplateArgs(toks, after);
+    }
+    if ((type != "bool" && type != "Status" && type != "Result") ||
+        after != d.name || has_nodiscard || allow.Allows(toks[k].line, "H1")) {
+      continue;
+    }
     findings->push_back(
-        {path, t.line, "H1",
-         "public " + t.text + "-returning API '" + toks[name].text +
+        {path, toks[k].line, "H1",
+         "public " + type + "-returning API '" + toks[d.name].text +
              "' lacks [[nodiscard]]: silently dropped Status/bool results "
              "hide admission/kill/suspend failures"});
   }
@@ -956,6 +839,47 @@ void RunT3(const SymbolGraph& graph,
   }
 }
 
+// ---------------------------------------------------------------------------
+// T4 — unused public API. A public function declared (or defined inline) in
+// a src/ header is dead when nothing names it outside its own declarations
+// and definitions: not src/, and not the user files under bench/,
+// examples/, perfbench/src/ and tests/, which are indexed but never linted.
+// Matching is by name, as in T1, so a name shared with a used function
+// counts as used: T4 can miss dead code but never flags live code.
+// Suppression point: the declaration line.
+// ---------------------------------------------------------------------------
+
+/// True for files under bench/, examples/, perfbench/src/ or tests/: the
+/// nearest such directory (or src/) decides, so a checkout inside a
+/// directory named "tests" still lints its own src/.
+bool IsUserPath(const std::string& path) {
+  std::vector<std::string> parts = Components(path);
+  for (size_t i = parts.size(); i-- > 0;) {
+    const std::string& c = parts[i];
+    if (c == "src") return i > 0 && parts[i - 1] == "perfbench";
+    if (c == "bench" || c == "examples" || c == "tests" || c == "perfbench") {
+      return true;
+    }
+  }
+  return false;
+}
+
+void RunT4(const SymbolGraph& graph,
+           const std::map<std::string, Suppressions>& supp,
+           std::vector<Finding>* findings) {
+  for (const ApiDecl& api : graph.public_api) {
+    if (graph.used_names.count(api.name) > 0) continue;
+    auto it = supp.find(api.path);
+    if (it != supp.end() && it->second.Allows(api.line, "T4")) continue;
+    findings->push_back(
+        {api.path, api.line, "T4",
+         "public function '" + api.name +
+             "' is named nowhere in src/, bench/, examples/, perfbench/src/ "
+             "or tests/ — delete it, or justify it with `// wlm-lint: "
+             "allow(T4) reason`"});
+  }
+}
+
 void SortFindings(std::vector<Finding>* findings) {
   std::sort(findings->begin(), findings->end(),
             [](const Finding& a, const Finding& b) {
@@ -981,11 +905,13 @@ void RunFileRules(const std::string& path, const LexedFile& file,
   RunS1(path, file, allow, findings);
 }
 
-/// Whole-project driver. `fallback_vars` carries unordered-member names for
-/// .cc files whose header was not part of the scanned set (the lone-file
-/// invocation reads the on-disk sibling) — keyed by the .cc path.
+/// Whole-project driver. `users` are indexed for T4 name uses only.
+/// `fallback_vars` carries unordered-member names for .cc files whose
+/// header was not part of the scanned set (the lone-file invocation reads
+/// the on-disk sibling) — keyed by the .cc path.
 std::vector<Finding> LintProjectImpl(
-    const std::vector<SourceFile>& files, const ProjectConfig& config,
+    const std::vector<SourceFile>& files, const std::vector<SourceFile>& users,
+    const ProjectConfig& config,
     const std::map<std::string, std::set<std::string>>& fallback_vars) {
   // One lex per file; the map both dedupes and fixes iteration order.
   std::map<std::string, LexedFile> lexed;
@@ -1024,10 +950,12 @@ std::vector<Finding> LintProjectImpl(
     RunFileRules(path, lf, vars, allow, &findings);
     IndexFile(path, lf, &graph);
   }
+  for (const SourceFile& f : users) IndexUses(Lex(f.content), &graph);
   FinalizeGraph(&graph);
   RunT1(graph, supp, &findings);
   RunT2(graph, config.layers, supp, &findings);
   RunT3(graph, supp, &findings);
+  RunT4(graph, supp, &findings);
   SortFindings(&findings);
   return findings;
 }
@@ -1108,6 +1036,10 @@ const std::vector<RuleInfo>& Rules() {
              "is registered via SetHelp (and vice versa), every "
              "WlmEventType is emitted somewhere and named by "
              "WlmEventTypeToString"},
+      {"T4", "every public function declared in a src/ header is named "
+             "somewhere outside its own declarations and definitions (in "
+             "src/, bench/, examples/, perfbench/src/ or tests/) — unused "
+             "API is surface no table, bench or example depends on"},
   };
   return kRules;
 }
@@ -1154,45 +1086,78 @@ std::vector<Finding> LintSource(
 
 std::vector<Finding> LintProject(const std::vector<SourceFile>& files,
                                  const ProjectConfig& config) {
-  return LintProjectImpl(files, config, {});
+  std::vector<SourceFile> linted;
+  std::vector<SourceFile> users;
+  for (const SourceFile& f : files) {
+    (IsUserPath(f.path) ? users : linted).push_back(f);
+  }
+  return LintProjectImpl(linted, users, config, {});
+}
+
+bool ReadFile(const std::string& path, std::string* content) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  *content = ss.str();
+  return true;
 }
 
 std::vector<Finding> LintPaths(const std::vector<std::string>& paths,
                                const ProjectConfig& config) {
+  // Appends the .h/.cc (and with `cpp`, .cpp) files under `dir`.
+  auto walk = [](const std::string& dir, bool cpp,
+                 std::vector<std::string>* out) {
+    std::error_code ec;
+    for (fs::recursive_directory_iterator it(dir, ec), end; it != end && !ec;
+         it.increment(ec)) {
+      const fs::path& p = it->path();
+      std::string name = p.filename().string();
+      if (it->is_directory() && (name == "build" || name.starts_with("."))) {
+        it.disable_recursion_pending();
+        continue;
+      }
+      if (!it->is_regular_file()) continue;
+      std::string s = p.string();
+      if (s.ends_with(".h") || s.ends_with(".cc") ||
+          (cpp && s.ends_with(".cpp"))) {
+        out->push_back(s);
+      }
+    }
+  };
+  auto sort_unique = [](std::vector<std::string>* v) {
+    std::sort(v->begin(), v->end());
+    v->erase(std::unique(v->begin(), v->end()), v->end());
+  };
+
   std::vector<Finding> findings;
   std::vector<std::string> files;
+  std::vector<std::string> user_files;
   for (const std::string& path : paths) {
     std::error_code ec;
     if (fs::is_directory(path, ec)) {
-      for (fs::recursive_directory_iterator it(path, ec), end;
-           it != end && !ec; it.increment(ec)) {
-        const fs::path& p = it->path();
-        std::string name = p.filename().string();
-        if (it->is_directory() && (name == "build" || name.starts_with("."))) {
-          it.disable_recursion_pending();
-          continue;
-        }
-        if (!it->is_regular_file()) continue;
-        std::string s = p.string();
-        if (s.ends_with(".h") || s.ends_with(".cc")) files.push_back(s);
-      }
+      walk(path, false, &files);
     } else if (fs::exists(path, ec)) {
       files.push_back(path);
     } else {
       findings.push_back({path, 0, "IO", "cannot read path"});
     }
+    // T4 users: the rest of the enclosing library src/ (when only part of
+    // it is linted) and its fixed siblings.
+    fs::path src;
+    fs::path prefix;
+    for (const fs::path& part : fs::path(path)) {
+      if (part == "src" && prefix.filename() != "perfbench") src = prefix / part;
+      prefix /= part;
+    }
+    if (src.empty()) continue;
+    walk(src.string(), false, &user_files);
+    for (const char* dir : {"bench", "examples", "perfbench/src", "tests"}) {
+      walk((src.parent_path() / dir).string(), true, &user_files);
+    }
   }
-  std::sort(files.begin(), files.end());
-  files.erase(std::unique(files.begin(), files.end()), files.end());
-
-  auto read = [](const std::string& file, std::string* content) {
-    std::ifstream in(file, std::ios::binary);
-    if (!in) return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    *content = ss.str();
-    return true;
-  };
+  sort_unique(&files);
+  sort_unique(&user_files);
 
   // Read everything up front; project analysis needs the full set. For a
   // .cc whose header is not in the scanned set (lone-file invocation),
@@ -1203,11 +1168,16 @@ std::vector<Finding> LintPaths(const std::vector<std::string>& paths,
     if (IsHeader(file)) scanned_headers.insert(Basename(file));
   }
   std::vector<SourceFile> sources;
+  std::vector<SourceFile> users;
   std::map<std::string, std::set<std::string>> fallback_vars;
   for (const std::string& file : files) {
     std::string content;
-    if (!read(file, &content)) {
+    if (!ReadFile(file, &content)) {
       findings.push_back({file, 0, "IO", "cannot read file"});
+      continue;
+    }
+    if (IsUserPath(file)) {
+      users.push_back({file, std::move(content)});
       continue;
     }
     sources.push_back({file, std::move(content)});
@@ -1216,14 +1186,21 @@ std::vector<Finding> LintPaths(const std::vector<std::string>& paths,
       if (scanned_headers.count(self) == 0) {
         fs::path sibling = fs::path(file).parent_path() / self;
         std::string header_content;
-        if (read(sibling.string(), &header_content)) {
+        if (ReadFile(sibling.string(), &header_content)) {
           fallback_vars[file] = CollectUnorderedVars(Lex(header_content));
         }
       }
     }
   }
-  std::vector<Finding> project = LintProjectImpl(sources, config,
-                                                 fallback_vars);
+  for (const std::string& file : user_files) {
+    std::string content;
+    if (!std::binary_search(files.begin(), files.end(), file) &&
+        ReadFile(file, &content)) {
+      users.push_back({file, std::move(content)});
+    }
+  }
+  std::vector<Finding> project =
+      LintProjectImpl(sources, users, config, fallback_vars);
   findings.insert(findings.end(), project.begin(), project.end());
   SortFindings(&findings);
   return findings;

@@ -54,7 +54,7 @@ std::map<std::string, int> ParseLayersToml(const std::string& content,
 std::set<std::string> CollectUnorderedVars(const LexedFile& file);
 
 /// Lints one translation unit with the per-file rules only (no symbol
-/// graph — T1/T2/T3 need the whole project; see LintProject). `path` is
+/// graph — T1-T4 need the whole project; see LintProject). `path` is
 /// the repo-relative path (rules D1/D3/H1 are scoped by directory).
 /// `extra_unordered_vars` are names known to be unordered containers from
 /// elsewhere (the self header).
@@ -65,16 +65,23 @@ std::vector<Finding> LintSource(
 /// Whole-project analysis: per-file rules on every file, plus the
 /// graph-aware passes — T1 clock/RNG taint propagation over the call
 /// graph, T2 layer-DAG + include-cycle enforcement over the include
-/// graph, T3 metric/event registry consistency.
+/// graph, T3 metric/event registry consistency, T4 unused public API.
+/// Files under bench/, examples/, perfbench/src/ or tests/ are T4 users:
+/// indexed for the names they mention, never linted.
 std::vector<Finding> LintProject(const std::vector<SourceFile>& files,
                                  const ProjectConfig& config = {});
 
 /// Lints every .h/.cc under `paths` (files or directories, recursed)
 /// through LintProject, resolving self headers for cross-file member
-/// types. Paths are processed in sorted order so output is
+/// types. For a path inside a library src/ directory, the rest of that
+/// src/ and its sibling bench/, examples/, perfbench/src/ and tests/ are
+/// read as T4 users. Paths are processed in sorted order so output is
 /// deterministic. Unreadable paths produce a finding under rule "IO".
 std::vector<Finding> LintPaths(const std::vector<std::string>& paths,
                                const ProjectConfig& config = {});
+
+/// Reads a whole file into *content; false when it cannot be opened.
+bool ReadFile(const std::string& path, std::string* content);
 
 /// Formats a finding as "path:line: [RULE] message".
 std::string FormatFinding(const Finding& finding);

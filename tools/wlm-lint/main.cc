@@ -16,22 +16,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint.h"
 
 namespace {
-
-bool ReadFile(const std::string& path, std::string* content) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *content = ss.str();
-  return true;
-}
 
 bool WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -115,7 +105,7 @@ int main(int argc, char** argv) {
   if (layers_path.empty()) layers_path = DiscoverLayers(paths);
   if (!layers_path.empty()) {
     std::string content;
-    if (!ReadFile(layers_path, &content)) {
+    if (!wlm::lint::ReadFile(layers_path, &content)) {
       std::fprintf(stderr, "wlm-lint: cannot read layers file '%s'\n",
                    layers_path.c_str());
       return 2;
@@ -145,7 +135,7 @@ int main(int argc, char** argv) {
 
   if (!baseline_path.empty()) {
     std::string content;
-    if (!ReadFile(baseline_path, &content)) {
+    if (!wlm::lint::ReadFile(baseline_path, &content)) {
       std::fprintf(stderr, "wlm-lint: cannot read baseline '%s'\n",
                    baseline_path.c_str());
       return 2;

@@ -6,47 +6,6 @@ namespace wlm::lint {
 
 namespace {
 
-bool TextIs(const std::vector<Token>& toks, size_t i, const char* text) {
-  return i < toks.size() && toks[i].text == text;
-}
-
-/// Index just past the `>` matching the `<` at `open` (which must be "<").
-size_t SkipTemplateArgs(const std::vector<Token>& toks, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < toks.size(); ++i) {
-    if (toks[i].text == "<") ++depth;
-    if (toks[i].text == ">" && --depth == 0) return i + 1;
-    if (toks[i].text == ";") break;  // malformed; bail
-  }
-  return toks.size();
-}
-
-/// Index of the `)`/`}` matching the opener at `open`.
-size_t MatchDelim(const std::vector<Token>& toks, size_t open,
-                  const char* open_text, const char* close_text) {
-  int depth = 0;
-  for (size_t i = open; i < toks.size(); ++i) {
-    if (toks[i].text == open_text) ++depth;
-    if (toks[i].text == close_text && --depth == 0) return i;
-  }
-  return toks.size();
-}
-
-std::vector<std::string> Components(const std::string& path) {
-  std::vector<std::string> out;
-  std::string part;
-  for (char c : path) {
-    if (c == '/' || c == '\\') {
-      if (!part.empty()) out.push_back(part);
-      part.clear();
-    } else {
-      part += c;
-    }
-  }
-  if (!part.empty()) out.push_back(part);
-  return out;
-}
-
 /// "…/src/core/request.h" -> "core/request.h"; "" when not under a src/.
 std::string ModulePathOf(const std::string& path) {
   std::vector<std::string> parts = Components(path);
@@ -166,6 +125,46 @@ bool MatchFunctionDef(const std::vector<Token>& toks, size_t i,
   return true;
 }
 
+/// Keywords after which `name(` is an expression, never a declarator.
+bool IsExpressionKeyword(const std::string& text) {
+  return text == "return" || text == "new" || text == "delete" ||
+         text == "throw" || text == "case" || text == "else" ||
+         text == "co_return" || text == "co_yield" || text == "co_await";
+}
+
+/// True when `name(` at `i` declares or defines a function: a return
+/// type (identifier, `>`, `*`, `&`), `~` or `operator` precedes it,
+/// possibly through a `Class::` qualifier chain. Sets *qualified for
+/// `Class::name` (an out-of-line definition).
+bool IsDeclaratorName(const std::vector<Token>& toks, size_t i,
+                      bool* qualified) {
+  size_t k = i;
+  while (k >= 2 && toks[k - 1].text == "::" &&
+         toks[k - 2].kind == TokKind::kIdent) {
+    k -= 2;
+  }
+  *qualified = k != i;
+  if (k == 0) return false;
+  const Token& prev = toks[k - 1];
+  if (prev.kind == TokKind::kIdent) return !IsExpressionKeyword(prev.text);
+  return prev.text == ">" || prev.text == "*" || prev.text == "&" ||
+         prev.text == "~";
+}
+
+/// Adds every identifier of `file` except its declarator names to
+/// graph->used_names.
+void RecordUses(const LexedFile& file, const std::vector<Declarator>& decls,
+                SymbolGraph* graph) {
+  std::vector<bool> declares(file.tokens.size(), false);
+  for (const Declarator& d : decls) declares[d.name] = true;
+  for (size_t i = 0; i < file.tokens.size(); ++i) {
+    if (file.tokens[i].kind == TokKind::kIdent && !declares[i]) {
+      graph->used_names.insert(file.tokens[i].text);
+    }
+  }
+  graph->used_names.insert(file.macro_idents.begin(), file.macro_idents.end());
+}
+
 void AddCall(FunctionDef* fn, const std::string& callee, int line) {
   for (const CallSite& call : fn->calls) {
     if (call.callee == callee) return;  // dedupe; first line wins
@@ -179,6 +178,45 @@ bool IsMetricSurface(const std::string& text) {
 }
 
 }  // namespace
+
+bool TextIs(const std::vector<Token>& toks, size_t i, const char* text) {
+  return i < toks.size() && toks[i].text == text;
+}
+
+size_t SkipTemplateArgs(const std::vector<Token>& toks, size_t open) {
+  int depth = 0;
+  for (size_t i = open; i < toks.size(); ++i) {
+    if (toks[i].text == "<") ++depth;
+    if (toks[i].text == ">" && --depth == 0) return i + 1;
+    if (toks[i].text == ";") break;  // malformed; bail
+  }
+  return toks.size();
+}
+
+size_t MatchDelim(const std::vector<Token>& toks, size_t open,
+                  const char* open_text, const char* close_text) {
+  int depth = 0;
+  for (size_t i = open; i < toks.size(); ++i) {
+    if (toks[i].text == open_text) ++depth;
+    if (toks[i].text == close_text && --depth == 0) return i;
+  }
+  return toks.size();
+}
+
+std::vector<std::string> Components(const std::string& path) {
+  std::vector<std::string> out;
+  std::string part;
+  for (char c : path) {
+    if (c == '/' || c == '\\') {
+      if (!part.empty()) out.push_back(part);
+      part.clear();
+    } else {
+      part += c;
+    }
+  }
+  if (!part.empty()) out.push_back(part);
+  return out;
+}
 
 const std::set<std::string>& EntropyTypeNames() {
   static const std::set<std::string> kSet = {
@@ -225,6 +263,122 @@ std::string EntropyUseAt(const std::vector<Token>& toks, size_t i) {
     }
   }
   return text;
+}
+
+std::vector<Declarator> ScanDeclarators(const std::vector<Token>& toks) {
+  struct Scope {
+    size_t close;  // token index of the scope's `}`
+    bool visible;  // no anonymous namespace or non-public section above
+    bool is_class;
+    bool public_section;
+    std::string name;  // class name, for constructors
+  };
+  std::vector<Declarator> out;
+  std::vector<Scope> stack;
+  auto in_class = [&] { return !stack.empty() && stack.back().is_class; };
+  auto visible_here = [&] {
+    return stack.empty() ||
+           (stack.back().visible && stack.back().public_section);
+  };
+
+  size_t i = 0;
+  while (i < toks.size()) {
+    if (!stack.empty() && i >= stack.back().close) {
+      stack.pop_back();
+      ++i;
+      continue;
+    }
+    const Token& t = toks[i];
+    if (t.text == "{") {  // initializer or other block
+      i = MatchDelim(toks, i, "{", "}") + 1;
+      continue;
+    }
+    if (t.kind != TokKind::kIdent) {
+      ++i;
+      continue;
+    }
+    if (t.text == "namespace" || t.text == "enum" || t.text == "class" ||
+        t.text == "struct" || t.text == "union") {
+      // A definition reaches `{` before `;` (or, for a class, before `>`,
+      // `(`, `,` or `=`: a template parameter or elaborated type).
+      const bool is_class = t.text != "namespace" && t.text != "enum";
+      std::string name;
+      size_t j = i + 1;
+      while (j < toks.size() && toks[j].text != "{" && toks[j].text != ";") {
+        const std::string& u = toks[j].text;
+        if (is_class && (u == ">" || u == "(" || u == "," || u == "=")) break;
+        if (u == "<") {
+          j = SkipTemplateArgs(toks, j);
+          continue;
+        }
+        if (name.empty() && toks[j].kind == TokKind::kIdent) name = u;
+        ++j;
+      }
+      if (!TextIs(toks, j, "{") || t.text == "enum") {
+        i = TextIs(toks, j, "{") ? MatchDelim(toks, j, "{", "}") + 1 : i + 1;
+        continue;
+      }
+      // An anonymous namespace hides what it holds; a class starts in
+      // its default section.
+      stack.push_back({MatchDelim(toks, j, "{", "}"),
+                       visible_here() && (is_class || !name.empty()),
+                       is_class, t.text != "class", name});
+      i = j + 1;
+      continue;
+    }
+    if (in_class() && TextIs(toks, i + 1, ":") &&
+        (t.text == "public" || t.text == "private" || t.text == "protected")) {
+      stack.back().public_section = t.text == "public";
+      i += 2;
+      continue;
+    }
+    if (!TextIs(toks, i + 1, "(") || IsNonCallName(t.text) ||
+        (i > 0 && (toks[i - 1].text == "." || toks[i - 1].text == "->"))) {
+      ++i;
+      continue;
+    }
+
+    size_t close = 0;
+    size_t end = 0;  // the body's `{`, or a declaration's `;`
+    const bool is_def = MatchFunctionDef(toks, i, &close, &end);
+    bool qualified = false;
+    bool declarator = IsDeclaratorName(toks, i, &qualified);
+    bool exempt = false;  // virtual, override, friend, defaulted, ...
+    if (!is_def) {  // a declaration ends `;`, `= 0;`, `= default;`, ...
+      close = MatchDelim(toks, i + 1, "(", ")");
+      end = close + 1;
+      while (end < toks.size() && toks[end].text != ";" &&
+             toks[end].text != "=" && toks[end].text != "{" &&
+             toks[end].text != "}") {
+        ++end;
+      }
+      if (TextIs(toks, end, "=")) {
+        exempt = true;
+        end += 2;
+      }
+      declarator = declarator && TextIs(toks, end, ";");
+    }
+    if (declarator) {
+      for (size_t j = close + 1; j < end; ++j) {
+        exempt |= toks[j].text == "override" || toks[j].text == "final";
+      }
+      size_t start = i;
+      while (start > 0 && toks[start - 1].text != ";" &&
+             toks[start - 1].text != "{" && toks[start - 1].text != "}" &&
+             toks[start - 1].text != ":") {
+        const std::string& u = toks[--start].text;
+        // `static` outside a class: internal linkage.
+        exempt |= u == "virtual" || u == "friend" || u == "operator" ||
+                  u == "~" || (u == "static" && !in_class());
+      }
+      const bool ctor = in_class() && stack.back().name == t.text;
+      out.push_back({i, start, in_class(), visible_here(),
+                     !exempt && !ctor && !qualified && visible_here()});
+    }
+    i = is_def ? MatchDelim(toks, end, "{", "}") + 1
+               : (declarator ? end + 1 : i + 1);
+  }
+  return out;
 }
 
 void IndexFile(const std::string& path, const LexedFile& file,
@@ -325,6 +479,21 @@ void IndexFile(const std::string& path, const LexedFile& file,
       if (!callee.empty()) AddCall(&fn, callee, toks[i].line);
     }
   }
+
+  std::vector<Declarator> decls = ScanDeclarators(toks);
+  if (path.ends_with(".h")) {
+    for (const Declarator& d : decls) {
+      if (d.api) {
+        graph->public_api.push_back({toks[d.name].text, path,
+                                     toks[d.name].line});
+      }
+    }
+  }
+  RecordUses(file, decls, graph);
+}
+
+void IndexUses(const LexedFile& file, SymbolGraph* graph) {
+  RecordUses(file, ScanDeclarators(file.tokens), graph);
 }
 
 void FinalizeGraph(SymbolGraph* graph) {
@@ -386,6 +555,11 @@ void FinalizeGraph(SymbolGraph* graph) {
             [](const EventTypeDecl& a, const EventTypeDecl& b) {
               return std::tie(a.enumerator, a.path, a.line) <
                      std::tie(b.enumerator, b.path, b.line);
+            });
+  std::sort(graph->public_api.begin(), graph->public_api.end(),
+            [](const ApiDecl& a, const ApiDecl& b) {
+              return std::tie(a.path, a.line, a.name) <
+                     std::tie(b.path, b.line, b.name);
             });
   std::sort(graph->event_uses.begin(), graph->event_uses.end(),
             [](const EventTypeUse& a, const EventTypeUse& b) {

@@ -11,6 +11,38 @@
 namespace wlm::lint {
 
 // ---------------------------------------------------------------------------
+// Token and path helpers shared by the per-file rules and the graph passes.
+// ---------------------------------------------------------------------------
+
+bool TextIs(const std::vector<Token>& toks, size_t i, const char* text);
+/// Index just past the `>` matching the `<` at `open` (which must be "<").
+size_t SkipTemplateArgs(const std::vector<Token>& toks, size_t open);
+/// Index of the `)`/`}` matching the opener at `open`.
+size_t MatchDelim(const std::vector<Token>& toks, size_t open,
+                  const char* open_text, const char* close_text);
+/// Path components, split on '/' and '\\'.
+std::vector<std::string> Components(const std::string& path);
+
+/// A function declared or defined at namespace or class scope, by token
+/// index. `is_public` means a public member, or a namespace-scope
+/// function, outside anonymous namespaces. `api` marks a T4 candidate:
+/// public, unqualified, and not virtual, override, friend, static at
+/// namespace scope, defaulted, deleted, a constructor, a destructor or an
+/// operator.
+struct Declarator {
+  size_t name = 0;   // the name token
+  size_t start = 0;  // first token of the declaration
+  bool in_class = false;
+  bool is_public = false;
+  bool api = false;
+};
+
+/// Walks the namespace and class scopes of a file and returns every
+/// function declarator seen there. Function bodies, initializers and enum
+/// bodies are skipped whole: a name inside them is a use.
+std::vector<Declarator> ScanDeclarators(const std::vector<Token>& toks);
+
+// ---------------------------------------------------------------------------
 // Entropy vocabulary, shared by the per-token rule D1 and the flow-aware
 // taint pass T1 so both agree on what counts as a nondeterminism source.
 // ---------------------------------------------------------------------------
@@ -76,6 +108,16 @@ struct EventTypeUse {
   std::string enclosing_function;
 };
 
+/// One public function declared (or defined inline) in a header: a
+/// candidate for the unused-API rule T4. Virtual and override methods,
+/// constructors, destructors, operators, friends and defaulted or deleted
+/// functions are never candidates.
+struct ApiDecl {
+  std::string name;
+  std::string path;
+  int line = 0;
+};
+
 /// Per-file node of the include graph.
 struct ProjectFile {
   std::string path;         // as scanned
@@ -96,11 +138,20 @@ struct SymbolGraph {
   std::vector<MetricRef> metric_refs;
   std::vector<EventTypeDecl> event_decls;
   std::vector<EventTypeUse> event_uses;
+  std::vector<ApiDecl> public_api;
+  /// Every identifier mentioned anywhere, user files included, other than
+  /// as the name in a function's own declaration or definition.
+  std::set<std::string> used_names;
 };
 
 /// Indexes one lexed file into the graph (pre-Finalize).
 void IndexFile(const std::string& path, const LexedFile& file,
                SymbolGraph* graph);
+
+/// Records only the names `file` mentions (into `used_names`): how the
+/// user files under bench/, examples/, perfbench/src/ and tests/, which
+/// are never linted, take part in rule T4.
+void IndexUses(const LexedFile& file, SymbolGraph* graph);
 
 /// Sorts everything into deterministic order and resolves include edges.
 /// Call once after the last IndexFile.
